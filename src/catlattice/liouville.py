@@ -10,8 +10,8 @@ stacking, vec(rho)[i*D + j] = rho[i, j], under which
 since vec(A X B) = (A (x) B^T) vec(X) in this convention.
 
 Steady states come from three independent routes that cross-validate each
-other: a direct linear solve with the trace constraint appended as an extra
-least-squares row, a shift-inverted Arnoldi eigensolve targeting the zero
+other: a sparse direct solve with the trace constraint folded in as a
+rank-one term, a shift-inverted Arnoldi eigensolve targeting the zero
 eigenvalue, and brute-force RK4 time integration.
 """
 
@@ -25,7 +25,6 @@ import scipy.sparse.linalg as spla
 from .fock import SparseOperator
 
 DIRECT_CAP_ROWS = 40_000   # default cap on D^2 for steady_state_direct
-DENSE_LSTSQ_ROWS = 4_096   # below this D^2 the augmented system is solved densely
 
 
 @dataclass
@@ -119,15 +118,13 @@ def _residual(liou, rho):
 
 
 def steady_state_direct(liou, tol=1e-10):
-    """Solve L vec(rho) = 0 with the trace condition as an appended row.
+    """Solve L vec(rho) = 0 at unit trace by sparse LU.
 
-    Small systems use a dense least-squares solve of the augmented
-    (D^2 + 1) x D^2 system.  Larger ones solve the algebraically equivalent
-    square system (L + w t t^dag) x = w t by sparse LU, where t = vec(I) and
-    w is a scale matching ||L||; for gamma > 0 the kernel of L is
-    one-dimensional, that system is nonsingular and its solution is the
-    least-squares solution of the augmented system.  A sparse iterative
-    fallback (LSQR on the augmented system) covers LU breakdowns.
+    The square system (L + w t t^dag) x = w t is solved, where t = vec(I) and w is a scale matching ||L||; for gamma > 0 the kernel of
+    L is one-dimensional, that system is nonsingular and its solution is
+    the least-squares solution of the augmented (D^2 + 1) x D^2 system.  A
+    sparse iterative fallback (LSQR on the augmented system) covers LU
+    breakdowns.
     """
     t0 = time.time()
     D = liou.dim
@@ -137,28 +134,22 @@ def steady_state_direct(liou, tol=1e-10):
             "D^2 = %d exceeds the direct-solve cap %d" % (n, DIRECT_CAP_ROWS))
     t = _trace_vector(D)
     w = max(float(abs(liou.sup).max()), 1.0)
-    if n <= DENSE_LSTSQ_ROWS:
-        A = np.vstack([liou.sup.toarray(), w * t.conj()[None, :]])
+    x = None
+    try:
+        tt = sp.csr_matrix(
+            (w * np.ones(D), (np.arange(0, n, D + 1), np.zeros(D, dtype=int))),
+            shape=(n, 1))
+        Lr = liou.sup + tt @ sp.csr_matrix(t.conj()[None, :])
+        x = spla.spsolve(Lr.tocsc(), w * t)
+        if not np.all(np.isfinite(x)):
+            x = None
+    except RuntimeError:
+        x = None
+    if x is None:
+        A = sp.vstack([liou.sup, sp.csr_matrix(w * t.conj()[None, :])]).tocsr()
         b = np.zeros(n + 1, dtype=complex)
         b[-1] = w
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        x = None
-        try:
-            tt = sp.csr_matrix(
-                (w * np.ones(D), (np.arange(0, n, D + 1), np.zeros(D, dtype=int))),
-                shape=(n, 1))
-            Lr = liou.sup + tt @ sp.csr_matrix(t.conj()[None, :])
-            x = spla.spsolve(Lr.tocsc(), w * t)
-            if not np.all(np.isfinite(x)):
-                x = None
-        except RuntimeError:
-            x = None
-        if x is None:
-            A = sp.vstack([liou.sup, sp.csr_matrix(w * t.conj()[None, :])]).tocsr()
-            b = np.zeros(n + 1, dtype=complex)
-            b[-1] = w
-            x = spla.lsqr(A, b, atol=1e-12, btol=1e-12, iter_lim=20 * n)[0]
+        x = spla.lsqr(A, b, atol=1e-12, btol=1e-12, iter_lim=20 * n)[0]
     rho = _finalize(x, D)
     res = _residual(liou, rho)
     flags = ()

@@ -85,12 +85,3 @@ class ObservableRecord:
         if self.entropy < -1e-12:
             raise ValueError("negative entropy %g" % self.entropy)
 
-
-def record_from_state(rho, pi_op, number_ops, provenance=None, with_densities=True):
-    dens = site_density(rho, number_ops) if with_densities else np.array([])
-    return ObservableRecord(
-        parity=parity_expectation(rho, pi_op),
-        entropy=von_neumann_entropy(rho),
-        n_per_site=float(dens.mean()) if dens.size else float("nan"),
-        densities=list(map(float, dens)),
-        provenance=dict(provenance or {}))

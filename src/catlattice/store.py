@@ -27,13 +27,11 @@ class SweepStore:
         self._records = []
         self._keys = set()
         self.last_sweep = None   # run_sweep drops its point counts here
+        self._cut = None         # the next append first cuts a torn tail here
         if os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    self._remember(json.loads(line))
+            records, self._cut = _load_jsonl(path)
+            for rec in records:
+                self._remember(rec)
 
     def _remember(self, rec):
         self._records.append(rec)
@@ -65,8 +63,17 @@ class SweepStore:
             raise ValueError("record missing field 'config_hash'")
         os.makedirs(os.path.dirname(os.path.abspath(self.path)),
                     exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        line = (json.dumps(rec, sort_keys=True) + "\n").encode()
+        with open(self.path, "a+b") as fh:
+            if self._cut is not None:
+                fh.truncate(self._cut)
+                self._cut = None
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":    # start on a fresh line
+                    line = b"\n" + line
+            fh.write(line)
             fh.flush()
         self._remember(rec)
 
@@ -89,10 +96,25 @@ def read_rows(path):
     if path.endswith(".csv"):
         with open(path, newline="") as fh:
             return list(csv.DictReader(fh))
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    return _load_jsonl(path)[0]
+
+
+def _load_jsonl(path):
+    """Records of a JSONL store, and the byte offset of a torn tail or None.
+
+    A last line that has no trailing newline and does not parse is the
+    remnant of an append cut short by a kill: it is dropped, so its point
+    is recomputed on resume.  A line that does not parse anywhere else is
+    corruption and raises.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.split(b"\n")
+    tail = lines.pop()          # empty when the file ends with a newline
+    records = [json.loads(line) for line in lines if line.strip()]
+    if tail.strip():
+        try:
+            records.append(json.loads(tail))
+        except ValueError:      # JSONDecodeError or a cut UTF-8 sequence
+            return records, len(data) - len(tail)
+    return records, None

@@ -62,9 +62,11 @@ def _corner_point(cfg, geom, params, fock):
         "method": "corner",
         "M": run.result.rho.dim,
         "residual": run.result.residual,
-        "converged": run.converged,
+        "converged": run.converged and "HIGH_RESIDUAL" not in run.result.flags,
         "flags": list(run.result.flags),
+        "iterations": run.result.iterations,
         "corner_report": report,
+        "steps": run.steps,
     }
 
 

@@ -162,6 +162,44 @@ def test_read_rows_csv_and_jsonl_agree(tmp_path):
         assert float(a["G_over_gamma"]) == float(b["G_over_gamma"])
 
 
+def test_store_drops_torn_last_line(tmp_path):
+    path = tmp_path / "s.jsonl"
+    store = SweepStore(path)
+    store.append(make_rec(g=0.0))
+    store.append(make_rec(g=1.0))
+    data = path.read_bytes()
+    path.write_bytes(data[:-25])          # a kill mid-append tears line 2
+    torn = SweepStore(path)
+    assert len(torn) == 1 and len(read_rows(path)) == 1
+    assert not torn.has_point("c0ffee", "1x2", 1.0)
+    torn.append(make_rec(g=1.0))          # the resumed point, on its own line
+    assert path.read_bytes() == data
+    assert len(SweepStore(path)) == 2
+
+
+def test_store_appends_after_unterminated_last_line(tmp_path):
+    path = tmp_path / "s.jsonl"
+    SweepStore(path).append(make_rec(g=0.0))
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    store = SweepStore(path)
+    assert len(store) == 1                # a whole record stays a record
+    store.append(make_rec(g=1.0))
+    assert [r["G_over_gamma"] for r in read_rows(path)] == [0.0, 1.0]
+
+
+def test_store_corrupt_middle_line_raises(tmp_path):
+    path = tmp_path / "s.jsonl"
+    store = SweepStore(path)
+    store.append(make_rec(g=0.0))
+    store.append(make_rec(g=1.0))
+    lines = path.read_bytes().split(b"\n")
+    lines[0] = lines[0][:-25]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(json.JSONDecodeError):
+        SweepStore(path)
+    with pytest.raises(json.JSONDecodeError):
+        read_rows(path)
+
 def test_point_key_tolerant_to_float_noise():
     k1 = point_key("h", "2x2", 0.1 + 0.2)
     k2 = point_key("h", "2x2", 0.3)

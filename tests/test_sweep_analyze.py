@@ -59,6 +59,22 @@ def test_run_sweep_writes_store_and_csv(tmp_path):
             assert r["entropy"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_corner_record_holds_its_steps(tmp_path):
+    cfg = mini_cfg(tmp_path, sizes=[3], n_max=1, g_values=[2.0],
+                   solver={"method": "corner"},
+                   corner={"m_list": [4, 6], "drift_tol": 1e-3})
+    path = run_sweep(cfg).last_sweep["store_path"]
+    with open(path) as fh:
+        (rec,) = [json.loads(line) for line in fh]
+    assert rec["method"] == "corner"
+    assert rec["steps"]
+    for step in rec["steps"]:
+        assert step["m"] >= 1 and 0.0 < step["kept_weight"] <= 1.0
+        assert step["residual"] >= 0.0 and step["wall"] >= 0.0
+        assert step["iterations"] >= 1
+    # the run's total also counts the leaf solves
+    assert rec["iterations"] > sum(s["iterations"] for s in rec["steps"])
+
 def test_run_sweep_resume_skips_done_points(tmp_path):
     cfg = mini_cfg(tmp_path)
     first = run_sweep(cfg).last_sweep
