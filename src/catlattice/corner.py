@@ -40,6 +40,16 @@ from .lattice import build_hamiltonian, build_jump_operators
 from .liouville import DensityMatrix, SteadyStateResult
 
 
+# Block weights at or below WEIGHT_FLOOR times the largest are solver noise
+# (about 1e-14 for a vacuum steady state); their eigenvectors are arbitrary,
+# so they count as zero and never enter a truncated corner.
+WEIGHT_FLOOR = 1e-12
+
+# A block solve is accepted when ||L(rho)||_F <= BLOCK_TOL times the operator
+# scale (see block_steady_state).
+BLOCK_TOL = 1e-10
+
+
 @dataclass
 class CornerBasis:
     """M kept product states |phi_i>_A (x) |psi_j>_B, sorted by weight."""
@@ -63,7 +73,7 @@ def _eig_descending(rho, parity=None, cluster_tol=1e-12):
     p, v = np.linalg.eigh(rho)
     p = p[::-1].copy()
     v = v[:, ::-1].copy()
-    p[p < 0] = 0.0
+    p[p <= WEIGHT_FLOOR * p[0]] = 0.0
     if parity is not None:
         scale = max(p[0], 1e-300)
         start = 0
@@ -86,8 +96,13 @@ def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None, tie_rel=1e-10):
 
     Ties at the cut are kept whole: if the m-th and (m+1)-th weights agree to
     tie_rel (relative), the corner expands to the end of the degenerate run,
-    so symmetry multiplets are never cut in half.  m therefore is a lower
-    bound on the returned corner dimension.
+    so symmetry multiplets are never cut in half.  A truncated corner never
+    keeps products of zero weight (see WEIGHT_FLOOR): their eigenvectors are
+    arbitrary and would give the corner spurious steady states, so the cut
+    stops at the last positive weight, keeping at least one state.  An m
+    that covers every product keeps them all, since the full product basis
+    is exact whatever its vectors.  Otherwise m is a lower bound on the
+    returned corner dimension.
     """
     if m < 1:
         raise ValueError("corner dimension must be >= 1")
@@ -98,6 +113,8 @@ def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None, tie_rel=1e-10):
     w = np.outer(p, q).reshape(-1)
     order = np.argsort(-w, kind="stable")
     full = w.size
+    if m < full:
+        m = min(m, max(int(np.count_nonzero(w > 0)), 1))
     m = min(m, full)
     cut = m
     if w[order[m - 1]] > 0:
@@ -278,7 +295,7 @@ class Block:
     info: dict = field(default_factory=dict)
 
 
-def block_steady_state(h, jumps, tol=1e-10):
+def block_steady_state(h, jumps):
     """Steady state of a dense block by preconditioned GMRES, matrix-free.
 
     Solves L(rho) + w tr(rho) I = w I, where
@@ -297,11 +314,14 @@ def block_steady_state(h, jumps, tol=1e-10):
     A solve is judged by its true residual ||L(rho)||_F against the
     operator scale 2 ||H_eff||_F + sum_k ||g_k||_F^2, not by GMRES's exit
     code.  Returns (rho, residual, iterations, accepted) with rho Hermitian
-    and unit-trace and residual the absolute ||L(rho)||_F.  Raises
-    ValueError without a nonzero jump: then every function of H is steady
-    and the steady state is not unique.
+    and unit-trace and residual the absolute ||L(rho)||_F.  A 1 x 1 block
+    has the one state [[1]].  A larger block without a nonzero jump raises
+    ValueError: then every function of H is steady and the steady state is
+    not unique.
     """
     m = h.shape[0]
+    if m == 1:
+        return np.ones((1, 1), dtype=complex), 0.0, 0, True
     g = np.asarray(jumps, dtype=complex).reshape(-1, m, m)
     if not np.any(g):
         raise ValueError("zero-jump block: every function of H is steady, "
@@ -355,13 +375,14 @@ def block_steady_state(h, jumps, tol=1e-10):
     # GMRES's exit code is not consulted: near-singular preconditioners
     # (G -> 0) can stall its preconditioned residual on an accurate state,
     # so the true residual below decides
-    x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * tol, atol=0.0, restart=40,
-                      maxiter=10, callback=tick, callback_type="pr_norm")
+    x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * BLOCK_TOL, atol=0.0,
+                      restart=40, maxiter=10, callback=tick,
+                      callback_type="pr_norm")
     rho = x.reshape(m, m)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= rho.trace().real
     residual = float(np.linalg.norm(lindblad(rho)))
-    return rho, residual, count[0], residual <= tol * scale
+    return rho, residual, count[0], residual <= BLOCK_TOL * scale
 
 
 def _build_leaf(region, geom, params, fock):
@@ -400,22 +421,6 @@ def _jumps_for(block, params):
     if params.eta > 0:
         out += [np.sqrt(params.eta) * a2 for a2 in block.a2_ops]
     return out
-
-
-def _solve_block(block, params):
-    """Solve a block's steady state in place; parity-odd noise is projected out."""
-    t0 = time.time()
-    rho, res, iters, accepted = block_steady_state(block.h,
-                                                   _jumps_for(block, params))
-    comm = np.abs(rho @ block.parity - block.parity @ rho).max()
-    if comm > 1e-10:
-        rho = 0.5 * (rho + block.parity @ rho @ block.parity)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= rho.trace().real
-    block.rho = rho
-    block.info.update(residual=res, iterations=iters, accepted=accepted,
-                      wall=time.time() - t0)
-    return block
 
 
 def _merge_blocks(block_a, block_b, region_out, m, geom, params):
@@ -494,10 +499,21 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
     t0 = time.time()
 
     def solve(blk):
+        """Solve a block in place; parity-odd noise is projected out."""
         nonlocal iterations
-        _solve_block(blk, params)
-        iterations += blk.info["iterations"]
-        if not blk.info["accepted"] and "HIGH_RESIDUAL" not in flags:
+        t_block = time.time()
+        rho, res, iters, accepted = block_steady_state(blk.h,
+                                                       _jumps_for(blk, params))
+        comm = np.abs(rho @ blk.parity - blk.parity @ rho).max()
+        if comm > 1e-10:
+            rho = 0.5 * (rho + blk.parity @ rho @ blk.parity)
+            rho = 0.5 * (rho + rho.conj().T)
+            rho /= rho.trace().real
+        blk.rho = rho
+        blk.info.update(residual=res, iterations=iters,
+                        wall=time.time() - t_block)
+        iterations += iters
+        if not accepted and "HIGH_RESIDUAL" not in flags:
             flags.append("HIGH_RESIDUAL")
 
     def leaf_block(region):

@@ -1,11 +1,10 @@
 """The matrix-free corner block solve against a dense np.kron oracle."""
-import functools
-
 import numpy as np
 import pytest
 
 import catlattice.corner as corner
-from catlattice.corner import block_steady_state, corner_steady_state
+from catlattice.corner import (block_steady_state, convergence_sweep,
+                               corner_steady_state)
 from catlattice.fock import FockSpace
 from catlattice.lattice import ModelParams, chain, rectangle
 
@@ -83,13 +82,15 @@ def test_random_lindbladian_matches_kron_oracle(m, n_jumps, seed):
     assert res == pytest.approx(ref, rel=1e-6, abs=1e-14)
 
 
-@pytest.mark.parametrize("g", [1e-3, 1.5, 5.0])
-def test_corner_blocks_match_kron_oracle(monkeypatch, g):
+# at G = 1e-3 the leaf has three weights above the noise floor
+# (corner.WEIGHT_FLOOR), so the merged corner holds their 9 products
+@pytest.mark.parametrize("g,m_merged", [(1e-3, 9), (1.5, 24), (5.0, 24)])
+def test_corner_blocks_match_kron_oracle(monkeypatch, g, m_merged):
     params = ModelParams.resonant(g=g, **DESK)
     blocks, run = corner_blocks(monkeypatch, chain(4), params, FockSpace(3),
                                 24)
     assert len(blocks) == 2                      # the 2-site leaf, one merge
-    assert blocks[-1][0].shape[0] >= 24
+    assert blocks[-1][0].shape[0] >= m_merged
     for h, jumps, (rho, res, _, accepted) in blocks:
         assert accepted
         assert res <= 1e-10 * operator_scale(h, jumps)
@@ -123,11 +124,30 @@ def test_zero_jump_block_raises():
         block_steady_state(h, [np.zeros((6, 6))])
 
 
+def test_one_state_block_is_trivially_steady():
+    rho, res, iters, accepted = block_steady_state(np.array([[2.0 + 0j]]),
+                                                   [np.zeros((1, 1))])
+    assert rho.tolist() == [[1.0]] and res == 0.0 and accepted
+
+
+def test_undriven_torus_is_the_vacuum():
+    # at G = 0 every block relaxes to the vacuum; product states of zero
+    # weight have arbitrary eigenvectors and must not enter the corner, where
+    # they would make the steady state non-unique
+    params = ModelParams.resonant(g=0.0, **DESK)
+    run, report = convergence_sweep(rectangle(2, 2), params, FockSpace(4),
+                                    [48, 64])
+    assert run.converged and not run.result.flags
+    for rec in report:
+        assert rec["m_used"] == 1
+        assert rec["parity"] == pytest.approx(1.0, abs=1e-12)
+        assert abs(rec["entropy"]) <= 1e-9
+
+
 def test_failed_block_flags_the_run(monkeypatch):
     # no solve reaches a residual bound below rounding; the run must say
     # so rather than return the state as if it were steady
-    monkeypatch.setattr(corner, "block_steady_state",
-                        functools.partial(block_steady_state, tol=1e-30))
+    monkeypatch.setattr(corner, "BLOCK_TOL", 1e-30)
     params = ModelParams.resonant(g=1.5, **DESK)
     run = corner_steady_state(chain(4), params, FockSpace(2), 12)
     assert "HIGH_RESIDUAL" in run.result.flags

@@ -56,6 +56,21 @@ def test_full_merge_is_exact_projection():
     assert np.abs(pair - ref).max() < 1e-12
 
 
+def test_merge_never_keeps_zero_weight_products():
+    # a pure block's other eigenvectors are arbitrary: a truncated corner
+    # keeps only the one product of positive weight, even when more are
+    # asked for, and noise-level weights count as zero
+    rho_a = DensityMatrix(np.diag([1.0, 1e-15, 0.0]).astype(complex))
+    rho_b = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    basis = merge_spaces(rho_a, rho_b, 4)
+    assert basis.m == 1
+    assert basis.kept_weight == pytest.approx(1.0)
+    # the full product basis is exact, so it is kept whole
+    assert merge_spaces(rho_a, rho_b, 6).m == 6
+    rho_b = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
+    assert merge_spaces(rho_a, rho_b, 4).m == 2
+
+
 def test_pair_projection_beats_product_of_projections():
     # with a truncated basis, P(X (x) Y) != P(X (x) I) P(I (x) Y); the pair
     # projector is the one that matches the isometry sandwich

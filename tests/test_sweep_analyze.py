@@ -60,7 +60,9 @@ def test_run_sweep_writes_store_and_csv(tmp_path):
 
 
 def test_corner_record_holds_its_steps(tmp_path):
-    cfg = mini_cfg(tmp_path, sizes=[3], n_max=1, g_values=[2.0],
+    # n_max 2: at n_max 1 the two-photon drive vanishes and every block
+    # is the vacuum, a one-state corner that needs no GMRES iteration
+    cfg = mini_cfg(tmp_path, sizes=[3], n_max=2, g_values=[2.0],
                    solver={"method": "corner"},
                    corner={"m_list": [4, 6], "drift_tol": 1e-3})
     path = run_sweep(cfg).last_sweep["store_path"]
