@@ -7,13 +7,14 @@ corner, and the merged block is re-solved.  Truncation quality is controlled
 by re-running at increasing M (convergence_sweep); corner results are never
 reported without their kept-weight and drift diagnostics.
 
-Every block, leaf or merged, is solved by one matrix-free kernel
-(block_steady_state): GMRES on L(rho) applied as M x M matmuls, preconditioned
-by a Schur-factored Sylvester solve.  An iteration costs O(K M^3) for K jump
-operators and the solve needs O(M^2) memory; the dense M^2 x M^2 superoperator
-is never built.  A corner run of the 2x2 torus at Fock cutoff 4 (K = 8, one
-BLAS thread, 2-vCPU Xeon) takes 0.08 s of CPU at M = 64, 0.46 s at M = 128
-and 3.9 s at M = 256, peaking at 92, 108 and 171 MB of process memory.
+Every block, leaf or merged, is solved by the steady-state kernel that the
+exact route also uses (liouville.steady_state_direct): GMRES on L(rho) applied
+as M x M matmuls, preconditioned by a Schur-factored Sylvester solve.  An
+iteration costs O(K M^3) for K jump operators and the solve needs O(M^2)
+memory; the dense M^2 x M^2 superoperator is never built.  A corner run of
+the 2x2 torus at Fock cutoff 4 (K = 8, one BLAS thread, 2-vCPU Xeon) takes
+0.08 s of CPU at M = 64, 0.46 s at M = 128 and 3.9 s at M = 256, peaking at
+92, 108 and 171 MB of process memory.
 
 Conventions that matter for correctness:
 
@@ -32,22 +33,17 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .fock import FockSpace, annihilation_op, embed_site_op, number_op, parity_op
 from .lattice import build_hamiltonian, build_jump_operators
-from .liouville import DensityMatrix, SteadyStateResult
+from .liouville import (DensityMatrix, SteadyStateResult,
+                        steady_state_direct)
 
 
 # Block weights at or below WEIGHT_FLOOR times the largest are solver noise
 # (about 1e-14 for a vacuum steady state); their eigenvectors are arbitrary,
 # so they count as zero and never enter a truncated corner.
 WEIGHT_FLOOR = 1e-12
-
-# A block solve is accepted when ||L(rho)||_F <= BLOCK_TOL times the operator
-# scale (see block_steady_state).
-BLOCK_TOL = 1e-10
 
 
 @dataclass
@@ -295,96 +291,6 @@ class Block:
     info: dict = field(default_factory=dict)
 
 
-def block_steady_state(h, jumps):
-    """Steady state of a dense block by preconditioned GMRES, matrix-free.
-
-    Solves L(rho) + w tr(rho) I = w I, where
-    L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_k g_k rho g_k^dag and
-    H_eff = H - (i/2) sum_k g_k^dag g_k.  L is applied as M x M matmuls,
-    O(K M^3) per application and O(M^2) memory, and is never formed.
-
-    The preconditioner inverts the Sylvester part S(rho) = -i (H_eff rho -
-    rho H_eff^dag) plus the trace term: one complex Schur factorization
-    H_eff = U T U^dag per block, a triangular Sylvester solve (LAPACK trsyl)
-    per application, and a Sherman-Morrison correction for w tr(rho) I.
-    S is damped by sigma = 1e-3 of the mean decay rate: a dark state of
-    H_eff (a real eigenvalue, such as an undriven vacuum) makes S singular,
-    and GMRES then stalls on an already accurate state.
-
-    A solve is judged by its true residual ||L(rho)||_F against the
-    operator scale 2 ||H_eff||_F + sum_k ||g_k||_F^2, not by GMRES's exit
-    code.  Returns (rho, residual, iterations, accepted) with rho Hermitian
-    and unit-trace and residual the absolute ||L(rho)||_F.  A 1 x 1 block
-    has the one state [[1]].  A larger block without a nonzero jump raises
-    ValueError: then every function of H is steady and the steady state is
-    not unique.
-    """
-    m = h.shape[0]
-    if m == 1:
-        return np.ones((1, 1), dtype=complex), 0.0, 0, True
-    g = np.asarray(jumps, dtype=complex).reshape(-1, m, m)
-    if not np.any(g):
-        raise ValueError("zero-jump block: every function of H is steady, "
-                         "no unique steady state")
-    gh = g.conj().transpose(0, 2, 1)
-    heff = h - 0.5j * (gh @ g).sum(axis=0)
-    heff_h = heff.conj().T
-    rates = float((np.abs(g) ** 2).sum())
-    scale = 2.0 * np.linalg.norm(heff) + rates
-    w = scale / m        # the trace term's eigenvalue w M is then ~ ||L||
-    sigma = 1e-3 * rates / m
-    diag = np.arange(m) * (m + 1)
-
-    def lindblad(rho):
-        return -1j * (heff @ rho - rho @ heff_h) + (g @ rho @ gh).sum(axis=0)
-
-    def matvec(x):
-        rho = x.reshape(m, m)
-        out = lindblad(rho).reshape(-1)
-        out[diag] += w * rho.trace()
-        return out
-
-    t, u = scipy.linalg.schur(heff, output="complex")
-    t[np.diag_indices(m)] -= 0.5j * sigma      # S - sigma: H_eff - i sigma / 2
-    uh = u.conj().T
-    trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (t,))
-
-    def sylvester_inv(r):
-        # T Y - Y T^dag = U^dag (i R) U, then X = U Y U^dag
-        y, s, _ = trsyl(t, t, uh @ (1j * r) @ u, tranb="C", isgn=-1)
-        return (u @ y @ uh) / s
-
-    z = sylvester_inv(np.eye(m, dtype=complex))
-    denom = 1.0 + w * z.trace()
-
-    def psolve(x):
-        y = sylvester_inv(x.reshape(m, m))
-        y -= z * (w * y.trace() / denom)
-        return y.reshape(-1)
-
-    n = m * m
-    b = np.zeros(n, dtype=complex)
-    b[diag] = w
-    count = [0]
-
-    def tick(_):
-        count[0] += 1
-
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    prec = spla.LinearOperator((n, n), matvec=psolve, dtype=complex)
-    # GMRES's exit code is not consulted: near-singular preconditioners
-    # (G -> 0) can stall its preconditioned residual on an accurate state,
-    # so the true residual below decides
-    x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * BLOCK_TOL, atol=0.0,
-                      restart=40, maxiter=10, callback=tick,
-                      callback_type="pr_norm")
-    rho = x.reshape(m, m)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= rho.trace().real
-    residual = float(np.linalg.norm(lindblad(rho)))
-    return rho, residual, count[0], residual <= BLOCK_TOL * scale
-
-
 def _build_leaf(region, geom, params, fock):
     """Exact block for a leaf region: operators in its own tensor basis."""
     sites = region.sites(geom)
@@ -499,21 +405,15 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
     t0 = time.time()
 
     def solve(blk):
-        """Solve a block in place; parity-odd noise is projected out."""
+        """Solve a block in place with the shared steady-state kernel."""
         nonlocal iterations
-        t_block = time.time()
-        rho, res, iters, accepted = block_steady_state(blk.h,
-                                                       _jumps_for(blk, params))
-        comm = np.abs(rho @ blk.parity - blk.parity @ rho).max()
-        if comm > 1e-10:
-            rho = 0.5 * (rho + blk.parity @ rho @ blk.parity)
-            rho = 0.5 * (rho + rho.conj().T)
-            rho /= rho.trace().real
-        blk.rho = rho
-        blk.info.update(residual=res, iterations=iters,
-                        wall=time.time() - t_block)
-        iterations += iters
-        if not accepted and "HIGH_RESIDUAL" not in flags:
+        res = steady_state_direct(blk.h, _jumps_for(blk, params),
+                                  parity=blk.parity)
+        blk.rho = res.rho.mat
+        blk.info.update(residual=res.residual, iterations=res.iterations,
+                        wall=res.wall_time)
+        iterations += res.iterations
+        if "HIGH_RESIDUAL" in res.flags and "HIGH_RESIDUAL" not in flags:
             flags.append("HIGH_RESIDUAL")
 
     def leaf_block(region):

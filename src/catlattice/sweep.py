@@ -2,8 +2,11 @@
 
 Routing is by Hilbert dimension: lattices within the exact cap go to the
 full-space solver, everything larger goes to the corner method with the
-configured corner dimensions.  Failures are recorded per point and the
-sweep only fails when every point does.
+configured corner dimensions.  Under method auto or direct the full-space
+route runs liouville's matrix-free kernel, as every corner block does; its
+records carry method "direct" and the kernel's GMRES iteration count.
+Failures are recorded per point and the sweep only fails when every point
+does.
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ def _exact_point(cfg, geom, params, fock):
         "residual": res.residual,
         "converged": "HIGH_RESIDUAL" not in res.flags,
         "flags": list(res.flags),
+        "iterations": res.iterations,
     }
 
 

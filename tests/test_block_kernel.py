@@ -1,12 +1,13 @@
-"""The matrix-free corner block solve against a dense np.kron oracle."""
+"""The matrix-free steady-state kernel against a dense np.kron oracle."""
 import numpy as np
 import pytest
 
 import catlattice.corner as corner
-from catlattice.corner import (block_steady_state, convergence_sweep,
-                               corner_steady_state)
+import catlattice.liouville as liouville
+from catlattice.corner import convergence_sweep, corner_steady_state
 from catlattice.fock import FockSpace
 from catlattice.lattice import ModelParams, chain, rectangle
+from catlattice.liouville import steady_state_direct
 
 DESK = dict(u=100.0, j_hop=50.0)
 
@@ -55,16 +56,16 @@ def random_lindbladian(m, n_jumps, seed):
 
 
 def corner_blocks(monkeypatch, geom, params, fock, m):
-    """(h, jumps, kernel output) of every block the corner run solves."""
+    """(h, jumps, kernel result) of every block the corner run solves."""
     seen = []
-    real = corner.block_steady_state
+    real = corner.steady_state_direct
 
     def spy(h, jumps, **kw):
         out = real(h, jumps, **kw)
         seen.append((h, jumps, out))
         return out
 
-    monkeypatch.setattr(corner, "block_steady_state", spy)
+    monkeypatch.setattr(corner, "steady_state_direct", spy)
     run = corner_steady_state(geom, params, fock, m)
     return seen, run
 
@@ -73,13 +74,15 @@ def corner_blocks(monkeypatch, geom, params, fock, m):
                                             (12, 2, 3)])
 def test_random_lindbladian_matches_kron_oracle(m, n_jumps, seed):
     h, jumps = random_lindbladian(m, n_jumps, seed)
-    rho, res, iters, accepted = block_steady_state(h, jumps)
-    assert accepted and iters > 0
+    out = steady_state_direct(h, jumps)
+    rho = out.rho.mat
+    assert "HIGH_RESIDUAL" not in out.flags and out.iterations > 0
+    assert out.method == "direct"
     assert np.abs(rho - dense_steady_state(h, jumps)).max() < 1e-10
     assert abs(rho.trace() - 1.0) < 1e-12
     # the reported residual is ||L(rho)||_F
     ref = np.linalg.norm(kron_liouvillian(h, jumps) @ rho.reshape(-1))
-    assert res == pytest.approx(ref, rel=1e-6, abs=1e-14)
+    assert out.residual == pytest.approx(ref, rel=1e-6, abs=1e-14)
 
 
 # at G = 1e-3 the leaf has three weights above the noise floor
@@ -91,10 +94,10 @@ def test_corner_blocks_match_kron_oracle(monkeypatch, g, m_merged):
                                 24)
     assert len(blocks) == 2                      # the 2-site leaf, one merge
     assert blocks[-1][0].shape[0] >= m_merged
-    for h, jumps, (rho, res, _, accepted) in blocks:
-        assert accepted
-        assert res <= 1e-10 * operator_scale(h, jumps)
-        assert np.abs(rho - dense_steady_state(h, jumps)).max() < 1e-9
+    for h, jumps, out in blocks:
+        assert "HIGH_RESIDUAL" not in out.flags
+        assert out.residual <= 1e-10 * operator_scale(h, jumps)
+        assert np.abs(out.rho.mat - dense_steady_state(h, jumps)).max() < 1e-9
     assert "HIGH_RESIDUAL" not in run.result.flags
 
 
@@ -104,10 +107,11 @@ def test_torus_block_beyond_dense_reach(monkeypatch):
     params = ModelParams.resonant(g=5.0, **DESK)
     seen, run = corner_blocks(monkeypatch, rectangle(2, 2), params,
                               FockSpace(4), 128)
-    h, jumps, (rho, _, _, accepted) = seen[-1]
-    assert h.shape[0] >= 128 and accepted
+    h, jumps, out = seen[-1]
+    rho = out.rho.mat
+    assert h.shape[0] >= 128 and "HIGH_RESIDUAL" not in out.flags
     assert "HIGH_RESIDUAL" not in run.result.flags
-    assert run.result.iterations == sum(out[2] for _, _, out in seen)
+    assert run.result.iterations == sum(o.iterations for _, _, o in seen)
     assert np.linalg.norm(lindblad_rhs(h, jumps, rho)) \
         <= 1e-10 * operator_scale(h, jumps)
     assert np.abs(rho - rho.conj().T).max() < 1e-14
@@ -119,15 +123,15 @@ def test_torus_block_beyond_dense_reach(monkeypatch):
 def test_zero_jump_block_raises():
     h, _ = random_lindbladian(6, 0, 4)
     with pytest.raises(ValueError, match="zero-jump"):
-        block_steady_state(h, [])
+        steady_state_direct(h, [])
     with pytest.raises(ValueError, match="zero-jump"):
-        block_steady_state(h, [np.zeros((6, 6))])
+        steady_state_direct(h, [np.zeros((6, 6))])
 
 
 def test_one_state_block_is_trivially_steady():
-    rho, res, iters, accepted = block_steady_state(np.array([[2.0 + 0j]]),
-                                                   [np.zeros((1, 1))])
-    assert rho.tolist() == [[1.0]] and res == 0.0 and accepted
+    out = steady_state_direct(np.array([[2.0 + 0j]]), [np.zeros((1, 1))])
+    assert out.rho.mat.tolist() == [[1.0]] and out.residual == 0.0
+    assert not out.flags
 
 
 def test_undriven_torus_is_the_vacuum():
@@ -147,7 +151,7 @@ def test_undriven_torus_is_the_vacuum():
 def test_failed_block_flags_the_run(monkeypatch):
     # no solve reaches a residual bound below rounding; the run must say
     # so rather than return the state as if it were steady
-    monkeypatch.setattr(corner, "BLOCK_TOL", 1e-30)
+    monkeypatch.setattr(liouville, "RESIDUAL_TOL", 1e-30)
     params = ModelParams.resonant(g=1.5, **DESK)
     run = corner_steady_state(chain(4), params, FockSpace(2), 12)
     assert "HIGH_RESIDUAL" in run.result.flags

@@ -7,7 +7,8 @@ from catlattice.corner import (build_schedule, convergence_sweep,
 from catlattice.fock import FockSpace, annihilation_op, number_op, parity_op
 from catlattice.lattice import (ModelParams, build_hamiltonian,
                                 build_jump_operators, chain, rectangle)
-from catlattice.liouville import DensityMatrix, solve_steady_state
+from catlattice.liouville import (DensityMatrix, steady_state_eigen,
+                                  vectorize_lindbladian)
 from catlattice.observables import (parity_expectation, trace_distance,
                                     von_neumann_entropy)
 
@@ -107,8 +108,8 @@ def test_corner_full_m_matches_exact_two_site():
     run = corner_steady_state(geom, p, f, full, leaf_sites_max=1)
     h = build_hamiltonian(p, geom, f)
     jumps = build_jump_operators(p, geom, f)
-    exact = solve_steady_state(h, jumps)
     pi = parity_op(f, 2)
+    exact = steady_state_eigen(vectorize_lindbladian(h, jumps), parity=pi)
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     d_s = abs(von_neumann_entropy(run.result.rho)
@@ -124,8 +125,8 @@ def test_corner_full_m_matches_exact_l_shape_2x2():
     run = corner_steady_state(geom, p, f, f.dim ** 4, leaf_sites_max=2)
     h = build_hamiltonian(p, geom, f)
     jumps = build_jump_operators(p, geom, f)
-    exact = solve_steady_state(h, jumps)
     pi = parity_op(f, 4)
+    exact = steady_state_eigen(vectorize_lindbladian(h, jumps), parity=pi)
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     assert d_pi < 1e-7
@@ -164,8 +165,8 @@ def test_truncated_corner_tracks_exact_three_site():
                                leaf_sites_max=1)
     h = build_hamiltonian(p, geom, f)
     jumps = build_jump_operators(p, geom, f)
-    exact = solve_steady_state(h, jumps)
     pi = parity_op(f, 3)
+    exact = steady_state_eigen(vectorize_lindbladian(h, jumps), parity=pi)
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     assert d_pi < 2e-3

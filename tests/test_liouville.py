@@ -65,7 +65,7 @@ def test_driven_cavity_coherent_steady_state():
     h = eps * (a.mat + a.mat.conj().T)
     H = SparseOperator(sp.csr_matrix(h), hermitian=True)
     jumps = [SparseOperator(np.sqrt(gamma) * a.mat)]
-    res = steady_state_direct(vectorize_lindbladian(H, jumps))
+    res = steady_state_direct(H, jumps)
     alpha = -2j * eps / gamma
     a_mean = complex((a.mat.toarray() @ res.rho.mat).trace())
     assert abs(a_mean - alpha) < 1e-8
@@ -79,7 +79,7 @@ def test_direct_eigen_time_agree():
     h = build_hamiltonian(p, chain(1), f)
     jumps = build_jump_operators(p, chain(1), f)
     liou = vectorize_lindbladian(h, jumps)
-    r1 = steady_state_direct(liou)
+    r1 = steady_state_direct(h, jumps)
     r2 = steady_state_eigen(liou)
     r3 = steady_state_time(liou, t_final=60.0)
     assert trace_distance(r1.rho, r2.rho) < 1e-8
@@ -95,7 +95,7 @@ def test_steady_state_residual_and_flags():
     jumps = build_jump_operators(p, chain(1), f)
     res = solve_steady_state(h, jumps)
     assert res.residual < 1e-9
-    assert res.method in ("direct-dense", "direct-sparse", "direct")
+    assert res.method == "direct"
     assert "HIGH_RESIDUAL" not in res.flags
 
 
@@ -165,3 +165,26 @@ def test_solve_router_methods():
         res.rho.validate()
     with pytest.raises(ValueError):
         solve_steady_state(h, jumps, method="bogus")
+
+
+def test_three_ring_beyond_sparse_lu_reach():
+    # D = 125 is beyond a sparse factorization of the D^2 x D^2
+    # superoperator (148 s, 1.8 GB); the kernel holds only D x D matrices
+    f = FockSpace(4)
+    geom = chain(3)
+    p = ModelParams.resonant(u=100.0, j_hop=50.0, g=2.0)
+    h = build_hamiltonian(p, geom, f)
+    jumps = build_jump_operators(p, geom, f)
+    pi = parity_op(f, 3).mat.toarray()
+    res = solve_steady_state(h, jumps, parity=pi)
+    rho = res.rho.mat
+    assert rho.shape == (125, 125)
+    assert res.method == "direct" and "HIGH_RESIDUAL" not in res.flags
+    scale = 2.0 * np.linalg.norm(h.mat.toarray(), 2) + 2.0 * sum(
+        np.linalg.norm(j.mat.toarray(), 2) ** 2 for j in jumps)
+    assert np.linalg.norm(_master_rhs(h, jumps, rho)) \
+        <= 1e-10 * scale * np.linalg.norm(rho)
+    assert abs(rho.trace() - 1.0) < 1e-12
+    assert np.abs(rho - rho.conj().T).max() < 1e-14
+    assert np.linalg.eigvalsh(rho).min() > -1e-10
+    assert np.abs(rho @ pi - pi @ rho).max() < 1e-10

@@ -77,6 +77,17 @@ def test_corner_record_holds_its_steps(tmp_path):
     # the run's total also counts the leaf solves
     assert rec["iterations"] > sum(s["iterations"] for s in rec["steps"])
 
+
+def test_exact_record_holds_its_iterations(tmp_path):
+    cfg = mini_cfg(tmp_path, sizes=[[1, 2]], g_values=[2.0],
+                   solver={"method": "auto"})
+    path = run_sweep(cfg).last_sweep["store_path"]
+    with open(path) as fh:
+        (rec,) = [json.loads(line) for line in fh]
+    assert rec["method"] == "direct"
+    assert rec["iterations"] > 0
+
+
 def test_run_sweep_resume_skips_done_points(tmp_path):
     cfg = mini_cfg(tmp_path)
     first = run_sweep(cfg).last_sweep
