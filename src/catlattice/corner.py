@@ -9,12 +9,13 @@ reported without their kept-weight and drift diagnostics.
 
 Every block, leaf or merged, is solved by the steady-state kernel that the
 exact route also uses (liouville.steady_state_direct): GMRES on L(rho) applied
-as M x M matmuls, preconditioned by a Schur-factored Sylvester solve.  An
-iteration costs O(K M^3) for K jump operators and the solve needs O(M^2)
-memory; the dense M^2 x M^2 superoperator is never built.  A corner run of
-the 2x2 torus at Fock cutoff 4 (K = 8, one BLAS thread, 2-vCPU Xeon) takes
-0.08 s of CPU at M = 64, 0.46 s at M = 128 and 3.9 s at M = 256, peaking at
-92, 108 and 171 MB of process memory.
+as M x M matmuls, preconditioned by its Sylvester part inverted on the
+diagonal of the Schur form of H_eff.  An iteration costs O(K M^3) for K jump
+operators and the solve needs O(M^2) memory; the dense M^2 x M^2
+superoperator is never built.  A corner run of the 2x2 torus at Fock cutoff
+4 (K = 8, one BLAS thread, 2-vCPU Xeon) takes 0.07 s of CPU at M = 64,
+0.38 s at M = 128 and 2.5 s at M = 256, peaking at 92, 108 and 171 MB of
+process memory.
 
 Conventions that matter for correctness:
 
@@ -411,7 +412,8 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
                                   parity=blk.parity)
         blk.rho = res.rho.mat
         blk.info.update(residual=res.residual, iterations=res.iterations,
-                        wall=res.wall_time)
+                        wall=res.wall_time,
+                        nonnormality=res.diagnostics["nonnormality"])
         iterations += res.iterations
         if "HIGH_RESIDUAL" in res.flags and "HIGH_RESIDUAL" not in flags:
             flags.append("HIGH_RESIDUAL")
@@ -461,6 +463,7 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
             "residual": merged.info.get("residual"),
             "wall": merged.info.get("wall"),
             "iterations": merged.info.get("iterations"),
+            "nonnormality": merged.info.get("nonnormality"),
             "cached": cached,
         })
         blocks[step.region_out] = merged

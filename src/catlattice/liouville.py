@@ -7,9 +7,9 @@ The master equation d rho/dt = L[rho] reads
 
 steady_state_direct is the steady-state kernel of both the exact route and
 every corner block (catlattice.corner): GMRES on L(rho) = 0 at unit trace,
-with L applied as D x D matmuls and a Schur-Sylvester preconditioner.  An
-iteration costs O(K D^3) for K jump operators and the solve holds O(D^2)
-memory; the D^2 x D^2 superoperator is never formed.
+with L applied as D x D matmuls and a Schur-diagonal Sylvester
+preconditioner.  An iteration costs O(K D^3) for K jump operators and the
+solve holds O(D^2) memory; the D^2 x D^2 superoperator is never formed.
 
 The two independent oracles do build it, vectorized with row-major (C-order)
 stacking, vec(rho)[i*D + j] = rho[i, j], under which
@@ -136,12 +136,13 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
     applied as D x D matmuls: O(K D^3) per application and O(D^2) memory.
 
     The preconditioner inverts the Sylvester part S(rho) = -i (H_eff rho -
-    rho H_eff^dag) plus the trace term: one complex Schur factorization
-    H_eff = U T U^dag per solve, a triangular Sylvester solve (LAPACK trsyl)
-    per application, and a Sherman-Morrison correction for w tr(rho) I.
-    S is damped by sigma = 1e-3 of the mean decay rate: a dark state of
-    H_eff (a real eigenvalue, such as an undriven vacuum) makes S singular,
-    and GMRES then stalls on an already accurate state.
+    rho H_eff^dag) on the diagonal lam of the Schur form H_eff = U T U^dag,
+    as U (U^dag (i R) U / (lam_i - lam_j^*)) U^dag, with a Sherman-Morrison
+    term for w tr(rho) I; GMRES handles the rest of T, whose share
+    ||strict_upper(T)||_F / ||T||_F is diagnostics["nonnormality"].  S is
+    damped by sigma = 1e-3 of the mean decay rate: a dark state of H_eff (a
+    real eigenvalue, such as an undriven vacuum) makes S singular and stalls
+    GMRES on an already accurate state.
 
     With a parity operator, a state whose commutator with it exceeds 1e-10
     is replaced by its parity-symmetric part (rho + Pi rho Pi) / 2.  The
@@ -163,7 +164,7 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
     if m == 1:
         return SteadyStateResult(
             rho=DensityMatrix(np.ones((1, 1), dtype=complex)), residual=0.0,
-            method="direct", wall_time=time.time() - t0)
+            method="direct", diagnostics={"nonnormality": 0.0})
     g = [_as_dense(j) for j in jumps]
     if any(x.shape != h.shape for x in g):
         raise ValueError("jump dimension does not match H (%d)" % m)
@@ -190,14 +191,13 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
         return out
 
     t, u = scipy.linalg.schur(heff, output="complex")
-    t[np.diag_indices(m)] -= 0.5j * sigma      # S - sigma: H_eff - i sigma / 2
     uh = u.conj().T
-    trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (t,))
+    lam = np.diag(t) - 0.5j * sigma           # S - sigma: H_eff - i sigma / 2
+    den = lam[:, None] - lam.conj()[None, :]
+    nonnormality = float(np.linalg.norm(np.triu(t, 1)) / np.linalg.norm(t))
 
     def sylvester_inv(r):
-        # T Y - Y T^dag = U^dag (i R) U, then X = U Y U^dag
-        y, s, _ = trsyl(t, t, uh @ (1j * r) @ u, tranb="C", isgn=-1)
-        return (u @ y @ uh) / s
+        return u @ ((uh @ (1j * r) @ u) / den) @ uh
 
     z = sylvester_inv(np.eye(m, dtype=complex))
     denom = 1.0 + w * z.trace()
@@ -210,10 +210,7 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
     n = m * m
     b = np.zeros(n, dtype=complex)
     b[diag] = w
-    count = [0]
-
-    def tick(_):
-        count[0] += 1
+    norms = []                # GMRES's preconditioned residual per iteration
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
     prec = spla.LinearOperator((n, n), matvec=psolve, dtype=complex)
@@ -221,7 +218,7 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
     # (G -> 0) can stall its preconditioned residual on an accurate state,
     # so the true residual below decides
     x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * tol, atol=0.0,
-                      restart=40, maxiter=10, callback=tick,
+                      restart=40, maxiter=10, callback=norms.append,
                       callback_type="pr_norm")
     rho = _finalize(x, m)
     if parity is not None:
@@ -232,7 +229,8 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
     flags = () if residual <= tol * scale else ("HIGH_RESIDUAL",)
     return SteadyStateResult(
         rho=DensityMatrix(rho), residual=residual, method="direct",
-        iterations=count[0], wall_time=time.time() - t0, flags=flags)
+        iterations=len(norms), wall_time=time.time() - t0, flags=flags,
+        diagnostics={"nonnormality": nonnormality})
 
 
 def steady_state_eigen(liou, tol=1e-10, max_iter=None, seed=7, parity=None,

@@ -49,6 +49,7 @@ def _exact_point(cfg, geom, params, fock):
         "converged": "HIGH_RESIDUAL" not in res.flags,
         "flags": list(res.flags),
         "iterations": res.iterations,
+        "nonnormality": res.diagnostics.get("nonnormality"),
     }
 
 
@@ -74,8 +75,40 @@ def _corner_point(cfg, geom, params, fock):
     }
 
 
+def available_memory():
+    """Bytes the OS reports as available (MemAvailable, else physical RAM)."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_exact_memory(dim, n_jumps):
+    """Raise MemoryError when an exact solve at dimension dim would not fit.
+
+    The kernel holds D x D complex matrices of 16 D^2 bytes: GMRES's 41
+    Krylov vectors (restart 40), four per jump operator (the jump, its
+    adjoint and two batched products) and about a dozen work arrays.
+    """
+    need = (41 + 4 * n_jumps + 12) * 16 * dim ** 2
+    have = available_memory()
+    if need > have:
+        raise MemoryError("exact solve at D=%d needs about %.1f GB of memory, "
+                          "%.1f GB available" % (dim, need / 2**30,
+                                                 have / 2**30))
+
+
 def solve_point(cfg, geom, g):
-    """One (geometry, G) point routed per config; returns the record body."""
+    """One (geometry, G) point routed per config; returns the record body.
+
+    An exact point is checked against the memory the OS reports before any
+    operator is built; one that would not fit raises MemoryError, which
+    run_sweep records as a failed point.
+    """
     fock = FockSpace(cfg.n_max)
     params = cfg.model_params(g)
     dim = fock.dim ** geom.n_sites
@@ -84,6 +117,8 @@ def solve_point(cfg, geom, g):
                                          and dim > cfg.solver.exact_dim_cap):
         body = _corner_point(cfg, geom, params, fock)
     else:
+        # one-photon loss on every site, plus two-photon loss if eta > 0
+        _check_exact_memory(dim, geom.n_sites * (2 if params.eta > 0 else 1))
         body = _exact_point(cfg, geom, params, fock)
     body["wall_time"] = time.time() - t0
     body["hilbert_dim"] = dim

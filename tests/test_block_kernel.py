@@ -120,6 +120,46 @@ def test_torus_block_beyond_dense_reach(monkeypatch):
     assert np.abs(final @ run.parity_op - run.parity_op @ final).max() < 1e-10
 
 
+def exceptional_point_lindbladian(m, seed):
+    """Lindbladian whose H_eff is defective on levels 0 and 1.
+
+    Level 0 decays at rate 2 (jumps |0><0| and |2><0|) and is coupled by 0.5
+    to level 1, which does not decay, so H_eff holds the Jordan block
+    [[-i, 0.5], [0.5, 0]]; a random Hermitian block sits on levels 2..m-1,
+    and weak jumps |1><k| make the steady state unique.
+    """
+    rng = np.random.default_rng(seed)
+    h = np.zeros((m, m), dtype=complex)
+    h[0, 1] = h[1, 0] = 0.5
+    x = rng.normal(size=(m - 2, m - 2)) + 1j * rng.normal(size=(m - 2, m - 2))
+    h[2:, 2:] = 0.5 * (x + x.conj().T)
+
+    def ket_bra(i, j):
+        out = np.zeros((m, m), dtype=complex)
+        out[i, j] = 1.0
+        return out
+
+    jumps = [ket_bra(0, 0), ket_bra(2, 0)]
+    jumps += [np.sqrt(1e-3) * ket_bra(1, k) for k in range(2, m)]
+    return h, jumps
+
+
+@pytest.mark.parametrize("m", [4, 40])
+def test_kernel_solves_at_an_exceptional_point(m):
+    # the eigenvectors of H_eff are parallel here, so a preconditioner in
+    # its eigenbasis misses the residual bound; the unitary Schur basis must
+    # not
+    h, jumps = exceptional_point_lindbladian(m, seed=5)
+    heff = h - 0.5j * sum(g.conj().T @ g for g in jumps)
+    lam = np.linalg.eigvals(heff[:2, :2])
+    assert abs(lam[0] - lam[1]) < 1e-7
+    out = steady_state_direct(h, jumps)
+    assert "HIGH_RESIDUAL" not in out.flags
+    assert np.linalg.norm(lindblad_rhs(h, jumps, out.rho.mat)) \
+        <= 1e-10 * operator_scale(h, jumps)
+    assert out.diagnostics["nonnormality"] > 0.0
+
+
 def test_zero_jump_block_raises():
     h, _ = random_lindbladian(6, 0, 4)
     with pytest.raises(ValueError, match="zero-jump"):

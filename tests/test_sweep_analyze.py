@@ -1,9 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+import catlattice.sweep as sweep
 from catlattice.analyze import AnalysisError, analyze_rows, infer_dimensionality
 from catlattice.config import RunConfig
 from catlattice.store import CSV_COLUMNS, SweepStore, read_rows
@@ -74,6 +76,8 @@ def test_corner_record_holds_its_steps(tmp_path):
         assert step["m"] >= 1 and 0.0 < step["kept_weight"] <= 1.0
         assert step["residual"] >= 0.0 and step["wall"] >= 0.0
         assert step["iterations"] >= 1
+        assert math.isfinite(step["nonnormality"])
+        assert step["nonnormality"] >= 0.0
     # the run's total also counts the leaf solves
     assert rec["iterations"] > sum(s["iterations"] for s in rec["steps"])
 
@@ -86,6 +90,33 @@ def test_exact_record_holds_its_iterations(tmp_path):
         (rec,) = [json.loads(line) for line in fh]
     assert rec["method"] == "direct"
     assert rec["iterations"] > 0
+    assert math.isfinite(rec["nonnormality"]) and rec["nonnormality"] >= 0.0
+
+
+def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
+    # a 4-ring at n_max 8 (D = 6561) would need about 58 GB; the pre-flight
+    # records it as failed before any operator is built, and the small point
+    # still solves.  Available memory is pinned so that the outcome does not
+    # depend on the host.
+    assert sweep.available_memory() > 0
+    monkeypatch.setattr(sweep, "available_memory", lambda: 8 * 2**30)
+    built = []
+    real = sweep.build_hamiltonian
+
+    def spy(params, geom, fock):
+        built.append(geom.n_sites)
+        return real(params, geom, fock)
+
+    monkeypatch.setattr(sweep, "build_hamiltonian", spy)
+    cfg = mini_cfg(tmp_path, sizes=[1, 4], n_max=8, g_values=[2.0],
+                   solver={"method": "auto", "exact_dim_cap": 10**5})
+    last = run_sweep(cfg).last_sweep
+    assert last["n_new"] == 1 and last["n_failed"] == 1
+    assert built == [1]
+    small, big = read_rows(last["store_path"])
+    assert small["size"] == "1" and small["converged"]
+    assert big["size"] == "4" and big["method"] == "failed"
+    assert "memory" in big["error"] and not big["converged"]
 
 
 def test_run_sweep_resume_skips_done_points(tmp_path):
