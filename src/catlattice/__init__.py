@@ -16,10 +16,9 @@ from .liouville import (vectorize_lindbladian, steady_state_direct,
                         steady_state_eigen, steady_state_time, time_evolve,
                         solve_steady_state, DensityMatrix, SteadyStateResult)
 from .observables import (parity_expectation, von_neumann_entropy,
-                          site_density, correlation, trace_distance,
-                          ObservableRecord)
+                          site_density, correlation, trace_distance)
 from .corner import (CornerBasis, corner_steady_state, convergence_sweep,
-                     merge_spaces, project_operator, project_pair,
+                     merge_spaces, project_pair,
                      build_schedule)
 from .spinmap import (CatBasis, SpinModelCoefficients, cat_states,
                       coherent_vector, required_n_max, annihilation_on_cats,

@@ -22,12 +22,20 @@ Conventions that matter for correctness:
 * Product operators X_A (x) Y_B are projected entrywise,
   <phi_k psi_k| X (x) Y |phi_l psi_l> = X~[ia_k, ia_l] * Y~[ib_k, ib_l];
   projecting the factors separately and multiplying corner matrices is wrong
-  once the corner is truncated.  Seam hopping terms and the merged parity go
-  through project_pair below for exactly that reason.
+  once the corner is truncated.  Seam hopping terms go through project_pair
+  below for exactly that reason.
 * Per-site a_j^2 is projected from the block's a_j^2, never squared after
   projection, so the two-photon jump operators stay faithful.
-* Intermediate blocks are open-boundary; a periodic closure bond activates
-  only once a block spans the full extent of its axis.
+* Photon-number parity is carried as the +-1 parity of each basis state.  A
+  block's density matrix is diagonalized inside its parity sectors, so every
+  corner vector is parity-definite and a merged state's parity is the
+  product of its factors' parities; the corner's parity operator is exactly
+  diagonal and an exact symmetry of the truncated Liouvillian.
+* Leaves are built by the lattice's own Hamiltonian formula
+  (lattice.lattice_hamiltonian) from the bonds with both ends inside them; a
+  merge adds the seam bonds, those with one end in each block.  Regions are
+  contiguous and never wrap, so a periodic closure bond joins a block only
+  once the block spans the full extent of its axis.
 """
 
 import time
@@ -35,8 +43,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import FockSpace, annihilation_op, embed_site_op, number_op, parity_op
-from .lattice import build_hamiltonian, build_jump_operators
+from .fock import (annihilation_op, embed_site_op, number_op,
+                   total_number_diagonal)
+from .lattice import lattice_hamiltonian
 from .liouville import (DensityMatrix, SteadyStateResult,
                         steady_state_direct)
 
@@ -49,7 +58,7 @@ WEIGHT_FLOOR = 1e-12
 
 @dataclass
 class CornerBasis:
-    """M kept product states |phi_i>_A (x) |psi_j>_B, sorted by weight."""
+    """M kept products |phi_i>_A (x) |psi_j>_B by weight, with +-1 parity."""
 
     m: int
     idx_a: np.ndarray
@@ -58,34 +67,36 @@ class CornerBasis:
     vecs_a: np.ndarray
     vecs_b: np.ndarray
     kept_weight: float
+    parity: np.ndarray
 
 
-def _eig_descending(rho, parity=None, cluster_tol=1e-12):
-    """Eigendecomposition of a density matrix, weights descending.
+def _eig_descending(rho, parity=None):
+    """Eigendecomposition of a density matrix inside its parity sectors.
 
-    If a parity operator is supplied, eigenvectors inside degenerate weight
-    clusters are rotated to be parity-definite, so truncation never splits a
-    Z2 multiplet into parity-mixed halves.
+    parity holds the +-1 parity of each basis state (None: all even).  One
+    eigh per sector, its eigenvectors zero-padded to the full dimension, so
+    every eigenvector is parity-definite.  Returns the weights descending,
+    the eigenvectors as columns and the parity of each.
     """
-    p, v = np.linalg.eigh(rho)
-    p = p[::-1].copy()
-    v = v[:, ::-1].copy()
+    d = rho.shape[0]
+    if parity is None:
+        parity = np.ones(d)
+    p = np.zeros(d)
+    v = np.zeros((d, d), dtype=complex)
+    s = np.zeros(d)
+    col = 0
+    for sign in (1.0, -1.0):
+        idx = np.flatnonzero(parity == sign)
+        cols = slice(col, col + idx.size)
+        p[cols], v[idx, cols] = np.linalg.eigh(rho[np.ix_(idx, idx)])
+        s[cols] = sign
+        col += idx.size
+    if col != d:
+        raise ValueError("parity must be +-1 on each of the %d states" % d)
+    order = np.argsort(-p, kind="stable")
+    p, v, s = p[order], v[:, order], s[order]
     p[p <= WEIGHT_FLOOR * p[0]] = 0.0
-    if parity is not None:
-        scale = max(p[0], 1e-300)
-        start = 0
-        while start < len(p):
-            stop = start + 1
-            while stop < len(p) and abs(p[stop] - p[start]) <= cluster_tol * scale:
-                stop += 1
-            if stop - start > 1:
-                sub = v[:, start:stop]
-                pv = sub.conj().T @ (parity @ sub)
-                pv = 0.5 * (pv + pv.conj().T)
-                _, w = np.linalg.eigh(pv)
-                v[:, start:stop] = sub @ w
-            start = stop
-    return p, v
+    return p, v, s
 
 
 def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None, tie_rel=1e-10):
@@ -99,14 +110,15 @@ def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None, tie_rel=1e-10):
     stops at the last positive weight, keeping at least one state.  An m
     that covers every product keeps them all, since the full product basis
     is exact whatever its vectors.  Otherwise m is a lower bound on the
-    returned corner dimension.
+    returned corner dimension.  parity_a and parity_b are the +-1 parities
+    of the blocks' basis states (None: all even); see _eig_descending.
     """
     if m < 1:
         raise ValueError("corner dimension must be >= 1")
     mat_a = rho_a.mat if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a)
     mat_b = rho_b.mat if isinstance(rho_b, DensityMatrix) else np.asarray(rho_b)
-    p, va = _eig_descending(mat_a, parity_a)
-    q, vb = _eig_descending(mat_b, parity_b)
+    p, va, sa = _eig_descending(mat_a, parity_a)
+    q, vb, sb = _eig_descending(mat_b, parity_b)
     w = np.outer(p, q).reshape(-1)
     order = np.argsort(-w, kind="stable")
     full = w.size
@@ -125,41 +137,15 @@ def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None, tie_rel=1e-10):
     total = w.sum()
     kept = float(w[sel].sum() / total) if total > 0 else 1.0
     return CornerBasis(m=cut, idx_a=idx_a, idx_b=idx_b, weights=w[sel],
-                       vecs_a=va, vecs_b=vb, kept_weight=kept)
-
-
-def project_operator(op, side, basis):
-    """Project a one-block operator into the corner.
-
-    side is "A" or "B".  The other block contributes an identity factor, so
-    entries survive only where the other block's eigenvector index matches.
-    """
-    mat = op.mat.toarray() if hasattr(op, "mat") and not isinstance(op, np.ndarray) \
-        else np.asarray(op.mat if hasattr(op, "mat") else op)
-    if side == "A":
-        v, idx, other = basis.vecs_a, basis.idx_a, basis.idx_b
-    elif side == "B":
-        v, idx, other = basis.vecs_b, basis.idx_b, basis.idx_a
-    else:
-        raise ValueError("side must be 'A' or 'B'")
-    if mat.shape[0] != v.shape[0]:
-        raise ValueError("operator dimension %d does not match side %s (%d)"
-                         % (mat.shape[0], side, v.shape[0]))
-    r = v.conj().T @ (mat @ v)
-    out = r[np.ix_(idx, idx)] * (other[:, None] == other[None, :])
-    return out
+                       vecs_a=va, vecs_b=vb, kept_weight=kept,
+                       parity=sa[idx_a] * sb[idx_b])
 
 
 def project_pair(op_a, op_b, basis):
-    """Project X_A (x) Y_B entrywise (see module docstring)."""
-    ma = np.asarray(op_a.mat if hasattr(op_a, "mat") else op_a)
-    mb = np.asarray(op_b.mat if hasattr(op_b, "mat") else op_b)
-    if hasattr(ma, "toarray"):
-        ma = ma.toarray()
-    if hasattr(mb, "toarray"):
-        mb = mb.toarray()
-    ra = basis.vecs_a.conj().T @ (ma @ basis.vecs_a)
-    rb = basis.vecs_b.conj().T @ (mb @ basis.vecs_b)
+    """Project X_A (x) Y_B entrywise (see module docstring); X and Y are
+    dense arrays on the blocks' spaces."""
+    ra = basis.vecs_a.conj().T @ (op_a @ basis.vecs_a)
+    rb = basis.vecs_b.conj().T @ (op_b @ basis.vecs_b)
     return ra[np.ix_(basis.idx_a, basis.idx_a)] * rb[np.ix_(basis.idx_b, basis.idx_b)]
 
 
@@ -247,33 +233,6 @@ def build_schedule(geom, m, leaf_sites_max=2):
     return MergeSchedule(steps=steps, leaves=leaves, m=m)
 
 
-def _region_bonds(region, geom):
-    """Bonds of the full lattice available inside a region.
-
-    Non-wrap bonds need both endpoints inside.  Wrap (periodic closure) bonds
-    additionally require the region to span their axis completely, since
-    intermediate corner blocks are open-boundary.
-    """
-    lx, ly = _full_extents(geom)
-    sites = set(region.sites(geom))
-    spans_x = region.nx == lx
-    spans_y = region.ny == ly
-    out = []
-    for b in geom.bonds:
-        if b.i not in sites or b.j not in sites:
-            continue
-        if b.wrap:
-            xi, yi = divmod(b.i, ly)
-            xj, yj = divmod(b.j, ly)
-            along_x = yi == yj
-            if along_x and not spans_x:
-                continue
-            if not along_x and not spans_y:
-                continue
-        out.append(b)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # block assembly and solving
 
@@ -287,7 +246,7 @@ class Block:
     a_ops: list
     a2_ops: list
     n_ops: list
-    parity: np.ndarray
+    parity: np.ndarray              # +-1 parity of each basis state
     rho: np.ndarray = None
     info: dict = field(default_factory=dict)
 
@@ -297,30 +256,16 @@ def _build_leaf(region, geom, params, fock):
     sites = region.sites(geom)
     n = len(sites)
     local = {s: k for k, s in enumerate(sites)}
-    d = fock.dim
-    dim = d ** n
     a1 = annihilation_op(fock)
     a_ops = [embed_site_op(a1, k, n).mat.toarray() for k in range(n)]
     nop = number_op(fock)
     n_ops = [embed_site_op(nop, k, n).mat.toarray() for k in range(n)]
-    a2_ops = [a @ a for a in a_ops]
-    par = parity_op(fock, n).mat.toarray()
-    h = np.zeros((dim, dim), dtype=complex)
-    g = complex(params.g)
-    for k in range(n):
-        a = a_ops[k]
-        ad = a.conj().T
-        h += -params.delta * (ad @ a)
-        if params.u:
-            h += 0.5 * params.u * (ad @ ad @ a @ a)
-        if g:
-            h += 0.5 * g * (ad @ ad) + 0.5 * np.conj(g) * (a @ a)
-    pre = params.j_hop / (2.0 * geom.dimensionality) if geom.dimensionality else 0.0
-    for b in _region_bonds(region, geom):
-        hop = a_ops[local[b.i]].conj().T @ a_ops[local[b.j]]
-        h += -pre * b.weight * (hop + hop.conj().T)
-    return Block(region=region, sites=sites, dim=dim, h=h, a_ops=a_ops,
-                 a2_ops=a2_ops, n_ops=n_ops, parity=par)
+    bonds = [(local[b.i], local[b.j], b.weight) for b in geom.bonds
+             if b.i in local and b.j in local]
+    h = lattice_hamiltonian(params, a_ops, bonds, geom.dimensionality)
+    return Block(region=region, sites=sites, dim=fock.dim ** n, h=h,
+                 a_ops=a_ops, a2_ops=[a @ a for a in a_ops], n_ops=n_ops,
+                 parity=(-1.0) ** total_number_diagonal(fock, n))
 
 
 def _jumps_for(block, params):
@@ -338,37 +283,29 @@ def _merge_blocks(block_a, block_b, region_out, m, geom, params):
     eye_a = np.eye(block_a.dim)
     eye_b = np.eye(block_b.dim)
     h = project_pair(block_a.h, eye_b, basis) + project_pair(eye_a, block_b.h, basis)
-    seam = [b for b in _region_bonds(region_out, geom)]
-    inner = {(b.i, b.j) for b in _region_bonds(block_a.region, geom)}
-    inner |= {(b.i, b.j) for b in _region_bonds(block_b.region, geom)}
-    set_a = set(block_a.sites)
     local_a = {s: k for k, s in enumerate(block_a.sites)}
     local_b = {s: k for k, s in enumerate(block_b.sites)}
     pre = params.j_hop / (2.0 * geom.dimensionality) if geom.dimensionality else 0.0
-    for b in seam:
-        if (b.i, b.j) in inner:
-            continue
-        if b.i in set_a:
+    for b in geom.bonds:              # seam bonds: one end in each block
+        if b.i in local_a and b.j in local_b:
             sa, sb = b.i, b.j
-        else:
+        elif b.j in local_a and b.i in local_b:
             sa, sb = b.j, b.i
+        else:
+            continue
         adag_a = block_a.a_ops[local_a[sa]].conj().T
         a_b = block_b.a_ops[local_b[sb]]
         hop = project_pair(adag_a, a_b, basis)
         h += -pre * b.weight * (hop + hop.conj().T)
-    a_ops, a2_ops, n_ops = [], [], []
-    sites = block_a.sites + block_b.sites
-    for k in range(len(block_a.sites)):
-        a_ops.append(project_pair(block_a.a_ops[k], eye_b, basis))
-        a2_ops.append(project_pair(block_a.a2_ops[k], eye_b, basis))
-        n_ops.append(project_pair(block_a.n_ops[k], eye_b, basis))
-    for k in range(len(block_b.sites)):
-        a_ops.append(project_pair(eye_a, block_b.a_ops[k], basis))
-        a2_ops.append(project_pair(eye_a, block_b.a2_ops[k], basis))
-        n_ops.append(project_pair(eye_a, block_b.n_ops[k], basis))
-    par = project_pair(block_a.parity, block_b.parity, basis)
-    return Block(region=region_out, sites=sites, dim=dim, h=h, a_ops=a_ops,
-                 a2_ops=a2_ops, n_ops=n_ops, parity=par,
+
+    def pair(ops_a, ops_b):
+        return ([project_pair(x, eye_b, basis) for x in ops_a]
+                + [project_pair(eye_a, y, basis) for y in ops_b])
+
+    return Block(region=region_out, sites=block_a.sites + block_b.sites,
+                 dim=dim, h=h, a_ops=pair(block_a.a_ops, block_b.a_ops),
+                 a2_ops=pair(block_a.a2_ops, block_b.a2_ops),
+                 n_ops=pair(block_a.n_ops, block_b.n_ops), parity=basis.parity,
                  info={"kept_weight": basis.kept_weight, "m": dim,
                        "full_dim": block_a.dim * block_b.dim}), basis
 
@@ -391,13 +328,15 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
 
     m is the target corner dimension per merge (tie expansion may raise it).
     Identical open blocks (same shape and axis completion) are solved once and
-    reused.  discard_bound flags runs where a merge dropped more than that
-    much probability weight, which signals a hopeless corner size; a block
-    whose solve fails its residual check flags the run HIGH_RESIDUAL.  The
-    result's iterations count the GMRES iterations of every block solved.
+    reused, their site labels shifted onto the new region.  discard_bound
+    flags runs where a merge dropped more than that much probability weight,
+    which signals a hopeless corner size; a block whose solve fails its
+    residual check flags the run HIGH_RESIDUAL.  The result's iterations
+    count the GMRES iterations of every block solved.
     """
     if schedule is None:
         schedule = build_schedule(geom, m, leaf_sites_max=leaf_sites_max)
+    ly = _full_extents(geom)[1]
     cache = {}
     blocks = {}
     steps_info = []
@@ -409,7 +348,7 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
         """Solve a block in place with the shared steady-state kernel."""
         nonlocal iterations
         res = steady_state_direct(blk.h, _jumps_for(blk, params),
-                                  parity=blk.parity)
+                                  parity=np.diag(blk.parity))
         blk.rho = res.rho.mat
         blk.info.update(residual=res.residual, iterations=res.iterations,
                         wall=res.wall_time,
@@ -418,20 +357,19 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
         if "HIGH_RESIDUAL" in res.flags and "HIGH_RESIDUAL" not in flags:
             flags.append("HIGH_RESIDUAL")
 
-    def leaf_block(region):
-        key = ("leaf", region.shape_key(geom))
-        if key not in cache:
-            blk = _build_leaf(region, geom, params, fock)
-            solve(blk)
-            cache[key] = blk
-        src = cache[key]
-        return Block(region=region, sites=region.sites(geom), dim=src.dim,
-                     h=src.h, a_ops=src.a_ops, a2_ops=src.a2_ops,
-                     n_ops=src.n_ops, parity=src.parity, rho=src.rho,
-                     info=dict(src.info))
+    def reuse(src, region):
+        """A solved block moved to an equal-shaped region.  Merged sites are
+        not in region order, so the source's labels are shifted."""
+        shift = (region.x0 - src.region.x0) * ly + region.y0 - src.region.y0
+        return replace(src, region=region, info=dict(src.info),
+                       sites=[s + shift for s in src.sites])
 
     for region in schedule.leaves:
-        blocks[region] = leaf_block(region)
+        key = ("leaf", region.shape_key(geom))
+        if key not in cache:
+            cache[key] = _build_leaf(region, geom, params, fock)
+            solve(cache[key])
+        blocks[region] = reuse(cache[key], region)
 
     final_block = blocks[schedule.leaves[0]] if not schedule.steps else None
     for step in schedule.steps:
@@ -441,12 +379,7 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
                step.region_out.shape_key(geom), step.m)
         cached = key in cache
         if cached:
-            src = cache[key]
-            merged = Block(region=step.region_out,
-                           sites=step.region_out.sites(geom), dim=src.dim,
-                           h=src.h, a_ops=src.a_ops, a2_ops=src.a2_ops,
-                           n_ops=src.n_ops, parity=src.parity, rho=src.rho,
-                           info=dict(src.info))
+            merged = reuse(cache[key], step.region_out)
         else:
             merged, basis = _merge_blocks(ba, bb, step.region_out, step.m,
                                           geom, params)
@@ -474,7 +407,7 @@ def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
         rho=rho, residual=final_block.info.get("residual", 0.0), method="corner",
         iterations=iterations, wall_time=time.time() - t0, flags=tuple(flags),
         diagnostics={"steps": steps_info, "m": m})
-    return CornerRun(result=result, parity_op=final_block.parity,
+    return CornerRun(result=result, parity_op=np.diag(final_block.parity),
                      n_ops=final_block.n_ops, a_ops=final_block.a_ops,
                      steps=steps_info)
 

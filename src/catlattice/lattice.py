@@ -9,7 +9,7 @@ with one- and two-photon losses entering as jump operators sqrt(gamma) a_j and
 sqrt(eta) a_j^2.  All energies and rates are expressed in units of gamma.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,14 +23,11 @@ class Bond:
 
     weight is 2.0 for the doubled bond of an extent-2 periodic axis (the two
     formal bonds between the same pair are stored once, see LatticeGeometry).
-    wrap marks a periodic closure bond on an axis of extent >= 3; it is used by
-    the corner merge schedule to defer closures until a block spans the axis.
     """
 
     i: int
     j: int
     weight: float = 1.0
-    wrap: bool = False
 
 
 @dataclass(frozen=True)
@@ -61,13 +58,13 @@ class LatticeGeometry:
 
 
 def _axis_bonds(extent):
-    """Bond pattern (offset pairs, weight, wrap) along one periodic axis."""
+    """Bond pattern (offset pairs, weight) along one periodic axis."""
     if extent == 1:
         return []
     if extent == 2:
-        return [(0, 1, 2.0, False)]
-    out = [(k, k + 1, 1.0, False) for k in range(extent - 1)]
-    out.append((extent - 1, 0, 1.0, True))
+        return [(0, 1, 2.0)]
+    out = [(k, k + 1, 1.0) for k in range(extent - 1)]
+    out.append((extent - 1, 0, 1.0))
     return out
 
 
@@ -75,7 +72,7 @@ def chain(n_sites, label=None):
     """Periodic 1D chain of n_sites."""
     if n_sites < 1:
         raise ValueError("need at least one site")
-    bonds = tuple(Bond(i, j, w, wr) for (i, j, w, wr) in _axis_bonds(n_sites))
+    bonds = tuple(Bond(i, j, w) for (i, j, w) in _axis_bonds(n_sites))
     return LatticeGeometry((n_sites,), bonds, label or str(n_sites))
 
 
@@ -95,11 +92,11 @@ def rectangle(lx, ly, label=None):
         return LatticeGeometry((lx, 1), g.bonds, label)
     bonds = []
     for y in range(ly):
-        for (x1, x2, w, wr) in _axis_bonds(lx):
-            bonds.append(Bond(x1 * ly + y, x2 * ly + y, w, wr))
+        for (x1, x2, w) in _axis_bonds(lx):
+            bonds.append(Bond(x1 * ly + y, x2 * ly + y, w))
     for x in range(lx):
-        for (y1, y2, w, wr) in _axis_bonds(ly):
-            bonds.append(Bond(x * ly + y1, x * ly + y2, w, wr))
+        for (y1, y2, w) in _axis_bonds(ly):
+            bonds.append(Bond(x * ly + y1, x * ly + y2, w))
     return LatticeGeometry((lx, ly), tuple(bonds), label)
 
 
@@ -150,28 +147,42 @@ class ModelParams:
                 and abs(self.eta - self.gamma) <= tol)
 
 
-def build_hamiltonian(params, geom, fock):
-    """Assemble the lattice Hamiltonian as a Hermitian SparseOperator."""
-    n = geom.n_sites
-    d = fock.dim
-    _check_cap(d ** n)
-    dim = d ** n
-    a_site = [embed_site_op(annihilation_op(fock), j, n) for j in range(n)]
-    H = sp.csr_matrix((dim, dim), dtype=complex)
+def lattice_hamiltonian(params, a_ops, bonds, dimensionality):
+    """The model Hamiltonian of the module docstring from site operators.
+
+    a_ops are the annihilation operators of the sites, dense arrays or scipy
+    sparse matrices; bonds are (i, j, weight) triples indexing a_ops; the
+    hopping carries the J/2d of a lattice of the given dimensionality.
+    """
+    dim = a_ops[0].shape[0]
+    if sp.issparse(a_ops[0]):
+        H = sp.csr_matrix((dim, dim), dtype=complex)
+    else:
+        H = np.zeros((dim, dim), dtype=complex)
     g = complex(params.g)
-    for j in range(n):
-        a = a_site[j].mat
-        ad = a.getH()
+    for a in a_ops:
+        ad = a.conj().T
         H = H - params.delta * (ad @ a)
         if params.u != 0:
             H = H + 0.5 * params.u * (ad @ ad @ a @ a)
         if g != 0:
             H = H + 0.5 * g * (ad @ ad) + 0.5 * np.conj(g) * (a @ a)
-    if params.j_hop != 0 and geom.bonds:
-        pre = params.j_hop / (2.0 * geom.dimensionality)
-        for b in geom.bonds:
-            hop = a_site[b.i].mat.getH() @ a_site[b.j].mat
-            H = H - pre * b.weight * (hop + hop.getH())
+    if params.j_hop != 0 and bonds:
+        pre = params.j_hop / (2.0 * dimensionality)
+        for i, j, weight in bonds:
+            hop = a_ops[i].conj().T @ a_ops[j]
+            H = H - pre * weight * (hop + hop.conj().T)
+    return H
+
+
+def build_hamiltonian(params, geom, fock):
+    """Assemble the lattice Hamiltonian as a Hermitian SparseOperator."""
+    n = geom.n_sites
+    _check_cap(fock.dim ** n)
+    a_site = [embed_site_op(annihilation_op(fock), j, n).mat for j in range(n)]
+    H = lattice_hamiltonian(params, a_site,
+                            [(b.i, b.j, b.weight) for b in geom.bonds],
+                            geom.dimensionality)
     return SparseOperator(H.tocsr(), hermitian=True)
 
 

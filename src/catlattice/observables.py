@@ -1,7 +1,5 @@
 """Steady-state observables: parity, von Neumann entropy, densities, correlators."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .fock import SparseOperator
@@ -66,22 +64,4 @@ def trace_distance(rho_a, rho_b):
     mb = rho_b.mat if hasattr(rho_b, "mat") else np.asarray(rho_b)
     ev = np.linalg.eigvalsh(ma - mb)
     return 0.5 * float(np.abs(ev).sum())
-
-
-@dataclass
-class ObservableRecord:
-    """One steady-state evaluation, ready for the sweep store."""
-
-    parity: float
-    entropy: float
-    n_per_site: float
-    densities: list = field(default_factory=list)
-    correlations: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (-1.0 - 1e-9 <= self.parity <= 1.0 + 1e-9):
-            raise ValueError("parity %g outside [-1, 1]" % self.parity)
-        if self.entropy < -1e-12:
-            raise ValueError("negative entropy %g" % self.entropy)
 

@@ -24,6 +24,21 @@ from .observables import (parity_expectation, site_density,
 from .store import SweepStore
 
 
+def _record(res, parity_op, n_ops):
+    """Record body of one steady-state result: observables and solve fields."""
+    return {
+        "parity": parity_expectation(res.rho, parity_op),
+        "entropy": von_neumann_entropy(res.rho),
+        "n_per_site": float(np.mean(site_density(res.rho, n_ops))),
+        "method": res.method,
+        "M": res.rho.dim,
+        "residual": res.residual,
+        "converged": "HIGH_RESIDUAL" not in res.flags,
+        "flags": list(res.flags),
+        "iterations": res.iterations,
+    }
+
+
 def _exact_point(cfg, geom, params, fock):
     h = build_hamiltonian(params, geom, fock)
     jumps = build_jump_operators(params, geom, fock)
@@ -38,19 +53,9 @@ def _exact_point(cfg, geom, params, fock):
     res = solve_steady_state(h, jumps, method=method, parity=pi, **kw)
     n_ops = [embed_site_op(number_op(fock), j, geom.n_sites)
              for j in range(geom.n_sites)]
-    dens = site_density(res.rho, n_ops)
-    return {
-        "parity": parity_expectation(res.rho, pi),
-        "entropy": von_neumann_entropy(res.rho),
-        "n_per_site": float(np.mean(dens)),
-        "method": res.method,
-        "M": res.rho.dim,
-        "residual": res.residual,
-        "converged": "HIGH_RESIDUAL" not in res.flags,
-        "flags": list(res.flags),
-        "iterations": res.iterations,
-        "nonnormality": res.diagnostics.get("nonnormality"),
-    }
+    body = _record(res, pi, n_ops)
+    body["nonnormality"] = res.diagnostics.get("nonnormality")
+    return body
 
 
 def _corner_point(cfg, geom, params, fock):
@@ -59,20 +64,11 @@ def _corner_point(cfg, geom, params, fock):
         tol=cfg.corner.drift_tol,
         leaf_sites_max=cfg.corner.leaf_sites_max,
     )
-    dens = site_density(run.result.rho, run.n_ops)
-    return {
-        "parity": parity_expectation(run.result.rho, run.parity_op),
-        "entropy": von_neumann_entropy(run.result.rho),
-        "n_per_site": float(np.mean(dens)),
-        "method": "corner",
-        "M": run.result.rho.dim,
-        "residual": run.result.residual,
-        "converged": run.converged and "HIGH_RESIDUAL" not in run.result.flags,
-        "flags": list(run.result.flags),
-        "iterations": run.result.iterations,
-        "corner_report": report,
-        "steps": run.steps,
-    }
+    body = _record(run.result, run.parity_op, run.n_ops)
+    body["converged"] = body["converged"] and run.converged
+    body["corner_report"] = report
+    body["steps"] = run.steps
+    return body
 
 
 def available_memory():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+import catlattice.corner as corner
 from catlattice.corner import (build_schedule, convergence_sweep,
-                               corner_steady_state, merge_spaces,
-                               project_operator, project_pair)
+                               corner_steady_state, merge_spaces, project_pair)
 from catlattice.fock import FockSpace, annihilation_op, number_op, parity_op
 from catlattice.lattice import (ModelParams, build_hamiltonian,
                                 build_jump_operators, chain, rectangle)
@@ -72,6 +72,22 @@ def test_merge_never_keeps_zero_weight_products():
     assert merge_spaces(rho_a, rho_b, 4).m == 2
 
 
+def test_merge_keeps_parity_sectors_apart():
+    # each kept product is an eigenvector of the blocks' parity, with the
+    # +-1 eigenvalue recorded in basis.parity
+    par = np.array([1.0, -1.0, 1.0])
+    rho = DensityMatrix(np.array([[0.4, 0.0, 0.1], [0.0, 0.2, 0.0],
+                                  [0.1, 0.0, 0.4]], dtype=complex))
+    basis = merge_spaces(rho, rho, 9, parity_a=par, parity_b=par)
+    pi = np.kron(par, par)
+    for k in range(basis.m):
+        v = np.kron(basis.vecs_a[:, basis.idx_a[k]],
+                    basis.vecs_b[:, basis.idx_b[k]])
+        assert np.array_equal(pi * v, basis.parity[k] * v)
+    with pytest.raises(ValueError):
+        merge_spaces(rho, rho, 2, parity_a=np.array([1.0, 0.0, 1.0]))
+
+
 def test_pair_projection_beats_product_of_projections():
     # with a truncated basis, P(X (x) Y) != P(X (x) I) P(I (x) Y); the pair
     # projector is the one that matches the isometry sandwich
@@ -82,8 +98,8 @@ def test_pair_projection_beats_product_of_projections():
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     pair = project_pair(x, y, basis)
-    xa = project_operator(x, "A", basis)
-    yb = project_operator(y, "B", basis)
+    xa = project_pair(x, np.eye(3), basis)
+    yb = project_pair(np.eye(3), y, basis)
     iso = np.zeros((9, basis.m), dtype=complex)
     for k in range(basis.m):
         iso[:, k] = np.kron(basis.vecs_a[:, basis.idx_a[k]],
@@ -130,6 +146,86 @@ def test_corner_full_m_matches_exact_l_shape_2x2():
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     assert d_pi < 1e-7
+
+
+def solved_blocks(monkeypatch):
+    """(h, parity) of every block the corner run hands to the kernel."""
+    seen = []
+    real = corner.steady_state_direct
+
+    def spy(h, jumps, **kw):
+        seen.append((h, kw["parity"]))
+        return real(h, jumps, **kw)
+
+    monkeypatch.setattr(corner, "steady_state_direct", spy)
+    return seen
+
+
+def test_leaf_is_the_lattice_hamiltonian():
+    # one formula: a leaf spanning the whole lattice is build_hamiltonian
+    p = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.5)
+    for geom, n_max in ((chain(3), 2), (rectangle(2, 2), 1),
+                        (rectangle(2, 3), 1)):
+        f = FockSpace(n_max)
+        region, = build_schedule(geom, 1, leaf_sites_max=geom.n_sites).leaves
+        leaf = corner._build_leaf(region, geom, p, f)
+        assert np.array_equal(leaf.h, build_hamiltonian(p, geom, f).to_dense())
+
+
+def full_m_corner_with_exact_spectrum(monkeypatch, geom, p, f):
+    """Corner run at full M whose final Hamiltonian has the exact spectrum."""
+    seen = solved_blocks(monkeypatch)
+    run = corner_steady_state(geom, p, f, f.dim ** geom.n_sites)
+    h = build_hamiltonian(p, geom, f).to_dense()
+    assert np.abs(np.linalg.eigvalsh(seen[-1][0])
+                  - np.linalg.eigvalsh(h)).max() < 1e-10
+    return run
+
+
+@pytest.mark.parametrize("geom", [rectangle(2, 3), chain(5)],
+                         ids=["2x3", "5-ring"])
+def test_full_m_corner_closes_periodic_axes(monkeypatch, geom):
+    # a periodic axis of extent >= 3 closes in the final merge, as a seam
+    # bond.  At n_max 1 the two-photon drive vanishes and the state is the
+    # vacuum, so it is the corner Hamiltonian's spectrum that shows a
+    # dropped or doubled seam bond
+    f = FockSpace(1)
+    p = ModelParams.resonant(u=10.0, j_hop=5.0, g=0.8)
+    run = full_m_corner_with_exact_spectrum(monkeypatch, geom, p, f)
+    pi = parity_op(f, geom.n_sites)
+    exact = steady_state_eigen(vectorize_lindbladian(
+        build_hamiltonian(p, geom, f), build_jump_operators(p, geom, f)),
+        parity=pi)
+    assert abs(parity_expectation(run.result.rho, run.parity_op)
+               - parity_expectation(exact.rho, pi)) < 1e-8
+    assert abs(von_neumann_entropy(run.result.rho)
+               - von_neumann_entropy(exact.rho)) < 1e-8
+
+
+def test_reused_block_keeps_its_site_order(monkeypatch):
+    # the 4x2 torus solves one 2x2 block and reuses it for the other half;
+    # a merged block's sites are not in region order, so the reused copy
+    # must shift the source's labels, or the seams join the wrong sites
+    f = FockSpace(1)
+    p = ModelParams.resonant(u=10.0, j_hop=5.0, g=0.8)
+    run = full_m_corner_with_exact_spectrum(monkeypatch, rectangle(4, 2), p, f)
+    assert [st["cached"] for st in run.steps] == [False, True, False]
+
+
+def test_corner_parity_is_exactly_diagonal_on_the_3x3_torus(monkeypatch):
+    # corner vectors come from one eigh per parity sector, so every block's
+    # parity is diagonal +-1 and an exact symmetry of its Liouvillian; a
+    # parity-mixed corner here was off-diagonal by 1e-3 and, at M=256, made
+    # the kernel's parity step turn a correct state into HIGH_RESIDUAL
+    p = ModelParams.resonant(u=100.0, j_hop=50.0, g=5.0)
+    seen = solved_blocks(monkeypatch)
+    run = corner_steady_state(rectangle(3, 3), p, FockSpace(4), 128)
+    for _, par in seen + [(None, run.parity_op)]:
+        assert np.array_equal(par, np.diag(np.diag(par)))
+        assert set(np.diag(par)) <= {1.0, -1.0}
+    rho = run.result.rho.mat
+    assert np.abs(rho @ run.parity_op - run.parity_op @ rho).max() <= 1e-12
+    assert "HIGH_RESIDUAL" not in run.result.flags
 
 
 def test_convergence_sweep_exact_shortcut():

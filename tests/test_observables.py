@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from catlattice.fock import FockSpace, embed_site_op, number_op, parity_op
 from catlattice.liouville import DensityMatrix
-from catlattice.observables import (ObservableRecord, correlation,
-                                    parity_expectation, site_density,
-                                    trace_distance, von_neumann_entropy)
+from catlattice.observables import (correlation, parity_expectation,
+                                    site_density, trace_distance,
+                                    von_neumann_entropy)
 
 
 def _fock_state(dim, n):
@@ -92,11 +92,3 @@ def test_trace_distance_properties():
     assert trace_distance(a, a) == pytest.approx(0.0)
     assert trace_distance(a, b) == pytest.approx(1.0)
     assert trace_distance(a, b) == pytest.approx(trace_distance(b, a))
-
-
-def test_observable_record_bounds():
-    ObservableRecord(parity=0.5, entropy=0.2, n_per_site=1.0)
-    with pytest.raises(ValueError):
-        ObservableRecord(parity=1.5, entropy=0.2, n_per_site=1.0)
-    with pytest.raises(ValueError):
-        ObservableRecord(parity=0.5, entropy=-0.1, n_per_site=1.0)
