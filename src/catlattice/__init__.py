@@ -18,8 +18,7 @@ from .liouville import (vectorize_lindbladian, steady_state_direct,
 from .observables import (parity_expectation, von_neumann_entropy,
                           site_density, correlation, trace_distance)
 from .corner import (CornerBasis, corner_steady_state, convergence_sweep,
-                     merge_spaces, project_pair,
-                     build_schedule)
+                     merge_spaces, project_pair)
 from .spinmap import (CatBasis, SpinModelCoefficients, cat_states,
                       coherent_vector, required_n_max, annihilation_on_cats,
                       build_xy_hamiltonian, validate_mapping, estimate_alpha)

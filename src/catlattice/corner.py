@@ -7,6 +7,16 @@ corner, and the merged block is re-solved.  Truncation quality is controlled
 by re-running at increasing M (convergence_sweep); corner results are never
 reported without their kept-weight and drift diagnostics.
 
+A run is one recursive pass: bisect the lattice, solve or look up the two
+halves, merge.  Blocks are keyed by content: a leaf by its shape, a merge by
+its halves' keys, its shape and M, or None in place of M when the merge
+keeps every product.  Equal-shaped regions of one run share a block, and
+the runs of a convergence sweep share every block that does not depend on
+M: the leaves, and merges that keep the full product space all the way
+down.  Truncated blocks live only for their own run.  Each block carries its
+total photon-number operator, the one number operator a record needs: a
+leaf's is diagonal, a merge projects N_A (x) I + I (x) N_B.
+
 Every block, leaf or merged, is solved by the steady-state kernel that the
 exact route also uses (liouville.steady_state_direct): GMRES on L(rho) applied
 as M x M matmuls, preconditioned by its Sylvester part inverted on the
@@ -43,8 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import (annihilation_op, embed_site_op, number_op,
-                   total_number_diagonal)
+from .fock import annihilation_op, embed_site_op, total_number_diagonal
 from .lattice import lattice_hamiltonian
 from .liouville import (DensityMatrix, SteadyStateResult,
                         steady_state_direct)
@@ -54,6 +63,14 @@ from .liouville import (DensityMatrix, SteadyStateResult,
 # (about 1e-14 for a vacuum steady state); their eigenvectors are arbitrary,
 # so they count as zero and never enter a truncated corner.
 WEIGHT_FLOOR = 1e-12
+
+# Product weights within TIE_REL (relative) of the weight at a merge's cut
+# are kept with it (see merge_spaces).
+TIE_REL = 1e-10
+
+# A merge that drops more than DISCARD_BOUND of the probability weight
+# flags its run CORNER_TOO_SMALL.
+DISCARD_BOUND = 0.5
 
 
 @dataclass
@@ -99,11 +116,11 @@ def _eig_descending(rho, parity=None):
     return p, v, s
 
 
-def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None, tie_rel=1e-10):
+def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None):
     """Select the m most probable product eigenstates of two solved blocks.
 
     Ties at the cut are kept whole: if the m-th and (m+1)-th weights agree to
-    tie_rel (relative), the corner expands to the end of the degenerate run,
+    TIE_REL (relative), the corner expands to the end of the degenerate run,
     so symmetry multiplets are never cut in half.  A truncated corner never
     keeps products of zero weight (see WEIGHT_FLOOR): their eigenvectors are
     arbitrary and would give the corner spurious steady states, so the cut
@@ -128,7 +145,7 @@ def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None, tie_rel=1e-10):
     cut = m
     if w[order[m - 1]] > 0:
         wcut = w[order[m - 1]]
-        while cut < full and abs(w[order[cut]] - wcut) <= tie_rel * wcut:
+        while cut < full and abs(w[order[cut]] - wcut) <= TIE_REL * wcut:
             cut += 1
     sel = order[:cut]
     nb = mat_b.shape[0]
@@ -150,7 +167,7 @@ def project_pair(op_a, op_b, basis):
 
 
 # ---------------------------------------------------------------------------
-# merge schedule
+# the recursive pass
 
 
 @dataclass(frozen=True)
@@ -162,36 +179,14 @@ class Region:
     nx: int
     ny: int
 
-    @property
-    def n_sites(self):
-        return self.nx * self.ny
-
     def sites(self, geom):
-        ly = geom.extents[1] if len(geom.extents) == 2 else 1
-        out = []
-        for x in range(self.x0, self.x0 + self.nx):
-            for y in range(self.y0, self.y0 + self.ny):
-                out.append(x * ly + y)
-        return out
+        ly = _full_extents(geom)[1]
+        return [x * ly + y for x in range(self.x0, self.x0 + self.nx)
+                for y in range(self.y0, self.y0 + self.ny)]
 
     def shape_key(self, geom):
         lx, ly = _full_extents(geom)
         return (self.nx, self.ny, self.nx == lx, self.ny == ly)
-
-
-@dataclass(frozen=True)
-class MergeStep:
-    region_a: Region
-    region_b: Region
-    region_out: Region
-    m: int
-
-
-@dataclass
-class MergeSchedule:
-    steps: list
-    leaves: list
-    m: int
 
 
 def _full_extents(geom):
@@ -214,41 +209,23 @@ def _split(region):
     return a, b
 
 
-def build_schedule(geom, m, leaf_sites_max=2):
-    """Recursive bisection of the full lattice down to exactly solvable leaves."""
-    lx, ly = _full_extents(geom)
-    steps = []
-    leaves = []
-
-    def rec(region):
-        if region.n_sites <= leaf_sites_max:
-            leaves.append(region)
-            return
-        a, b = _split(region)
-        rec(a)
-        rec(b)
-        steps.append(MergeStep(a, b, region, m))
-
-    rec(Region(0, 0, lx, ly))
-    return MergeSchedule(steps=steps, leaves=leaves, m=m)
-
-
-# ---------------------------------------------------------------------------
-# block assembly and solving
-
-
 @dataclass
 class Block:
-    region: Region
+    """A solved block.  sites are the lattice labels of its operators'
+    sites, less the label of its region's first site, so one block serves
+    every region of its shape."""
+
     sites: list
     dim: int
     h: np.ndarray
     a_ops: list
     a2_ops: list
-    n_ops: list
+    n_op: np.ndarray                # total photon number of its sites
     parity: np.ndarray              # +-1 parity of each basis state
-    rho: np.ndarray = None
-    info: dict = field(default_factory=dict)
+    exact: bool                     # full product spaces all the way down
+    full_dim: int = 0               # a merge's product dimension
+    kept_weight: float = 1.0        # weight a merge kept
+    result: SteadyStateResult = None
 
 
 def _build_leaf(region, geom, params, fock):
@@ -258,33 +235,25 @@ def _build_leaf(region, geom, params, fock):
     local = {s: k for k, s in enumerate(sites)}
     a1 = annihilation_op(fock)
     a_ops = [embed_site_op(a1, k, n).mat.toarray() for k in range(n)]
-    nop = number_op(fock)
-    n_ops = [embed_site_op(nop, k, n).mat.toarray() for k in range(n)]
     bonds = [(local[b.i], local[b.j], b.weight) for b in geom.bonds
              if b.i in local and b.j in local]
     h = lattice_hamiltonian(params, a_ops, bonds, geom.dimensionality)
-    return Block(region=region, sites=sites, dim=fock.dim ** n, h=h,
-                 a_ops=a_ops, a2_ops=[a @ a for a in a_ops], n_ops=n_ops,
-                 parity=(-1.0) ** total_number_diagonal(fock, n))
+    n_diag = total_number_diagonal(fock, n)
+    return Block(sites=[s - sites[0] for s in sites], dim=fock.dim ** n, h=h,
+                 a_ops=a_ops, a2_ops=[a @ a for a in a_ops],
+                 n_op=np.diag(n_diag), parity=(-1.0) ** n_diag, exact=True)
 
 
-def _jumps_for(block, params):
-    out = [np.sqrt(params.gamma) * a for a in block.a_ops]
-    if params.eta > 0:
-        out += [np.sqrt(params.eta) * a2 for a2 in block.a2_ops]
-    return out
-
-
-def _merge_blocks(block_a, block_b, region_out, m, geom, params):
-    """Corner-merge two solved blocks into the block for region_out."""
-    basis = merge_spaces(block_a.rho, block_b.rho, m,
+def _merge_blocks(block_a, block_b, origin_a, origin_b, m, geom, params):
+    """Corner-merge two solved blocks whose regions start at the lattice
+    sites origin_a and origin_b; the result's sites count from origin_a."""
+    basis = merge_spaces(block_a.result.rho, block_b.result.rho, m,
                          parity_a=block_a.parity, parity_b=block_b.parity)
-    dim = basis.m
     eye_a = np.eye(block_a.dim)
     eye_b = np.eye(block_b.dim)
     h = project_pair(block_a.h, eye_b, basis) + project_pair(eye_a, block_b.h, basis)
-    local_a = {s: k for k, s in enumerate(block_a.sites)}
-    local_b = {s: k for k, s in enumerate(block_b.sites)}
+    local_a = {s + origin_a: k for k, s in enumerate(block_a.sites)}
+    local_b = {s + origin_b: k for k, s in enumerate(block_b.sites)}
     pre = params.j_hop / (2.0 * geom.dimensionality) if geom.dimensionality else 0.0
     for b in geom.bonds:              # seam bonds: one end in each block
         if b.i in local_a and b.j in local_b:
@@ -302,12 +271,87 @@ def _merge_blocks(block_a, block_b, region_out, m, geom, params):
         return ([project_pair(x, eye_b, basis) for x in ops_a]
                 + [project_pair(eye_a, y, basis) for y in ops_b])
 
-    return Block(region=region_out, sites=block_a.sites + block_b.sites,
-                 dim=dim, h=h, a_ops=pair(block_a.a_ops, block_b.a_ops),
+    full_dim = block_a.dim * block_b.dim
+    return Block(sites=block_a.sites + [s + origin_b - origin_a
+                                        for s in block_b.sites],
+                 dim=basis.m, h=h, a_ops=pair(block_a.a_ops, block_b.a_ops),
                  a2_ops=pair(block_a.a2_ops, block_b.a2_ops),
-                 n_ops=pair(block_a.n_ops, block_b.n_ops), parity=basis.parity,
-                 info={"kept_weight": basis.kept_weight, "m": dim,
-                       "full_dim": block_a.dim * block_b.dim}), basis
+                 n_op=sum(pair([block_a.n_op], [block_b.n_op])),
+                 parity=basis.parity,
+                 exact=block_a.exact and block_b.exact and m >= full_dim,
+                 full_dim=full_dim, kept_weight=basis.kept_weight)
+
+
+def _solve_block(blk, params):
+    """Solve a block in place with the shared steady-state kernel."""
+    jumps = [np.sqrt(params.gamma) * a for a in blk.a_ops]
+    if params.eta > 0:
+        jumps += [np.sqrt(params.eta) * a2 for a2 in blk.a2_ops]
+    blk.result = steady_state_direct(blk.h, jumps, parity=np.diag(blk.parity))
+
+
+@dataclass
+class _Pass:
+    """Fixed inputs of one corner run and the blocks it has used so far."""
+
+    geom: object
+    params: object
+    fock: object
+    m: int
+    leaf_sites_max: int
+    blocks: dict                    # blocks independent of m, across runs
+    used: dict = field(default_factory=dict)      # key -> block, this run
+    steps: list = field(default_factory=list)     # one entry per merge
+
+
+def _solve_region(region, run):
+    """Content key and solved block of region, recursing into its halves.
+
+    A leaf is keyed by its shape; a merge by its halves' keys, its shape and
+    the run's m, or None when m covers every product.  A key is looked up
+    among the blocks this run used, then among run.blocks, before anything
+    is built; a block that does not depend on m joins run.blocks.  Merges
+    append their step record in post-order, found ones marked cached.
+    """
+    geom = run.geom
+    shape = region.shape_key(geom)
+    leaf = region.nx * region.ny <= run.leaf_sites_max
+    if leaf:
+        key = ("leaf", shape)
+    else:
+        region_a, region_b = _split(region)
+        key_a, block_a = _solve_region(region_a, run)
+        key_b, block_b = _solve_region(region_b, run)
+        key = (key_a, key_b, shape,
+               run.m if run.m < block_a.dim * block_b.dim else None)
+    blk = run.used.get(key, run.blocks.get(key))
+    cached = blk is not None
+    if not cached:
+        if leaf:
+            blk = _build_leaf(region, geom, run.params, run.fock)
+        else:
+            blk = _merge_blocks(block_a, block_b, region_a.sites(geom)[0],
+                                region_b.sites(geom)[0], run.m, geom,
+                                run.params)
+        _solve_block(blk, run.params)
+        if blk.exact:
+            run.blocks[key] = blk
+    run.used[key] = blk
+    if not leaf:
+        res = blk.result
+        run.steps.append({
+            "shape": (region.nx, region.ny),
+            "m": blk.dim,
+            "full_dim": blk.full_dim,
+            "exact": blk.dim == blk.full_dim,
+            "kept_weight": blk.kept_weight,
+            "residual": res.residual,
+            "wall": res.wall_time,
+            "iterations": res.iterations,
+            "nonnormality": res.diagnostics["nonnormality"],
+            "cached": cached,
+        })
+    return key, blk
 
 
 @dataclass
@@ -316,100 +360,41 @@ class CornerRun:
 
     result: SteadyStateResult
     parity_op: np.ndarray
-    n_ops: list
-    a_ops: list
+    n_op: np.ndarray                # total photon number
     steps: list
     converged: bool = True
 
 
-def corner_steady_state(geom, params, fock, m, schedule=None, leaf_sites_max=2,
-                        discard_bound=0.5):
+def corner_steady_state(geom, params, fock, m, leaf_sites_max=2, blocks=None):
     """Run the corner method on the full lattice.
 
     m is the target corner dimension per merge (tie expansion may raise it).
-    Identical open blocks (same shape and axis completion) are solved once and
-    reused, their site labels shifted onto the new region.  discard_bound
-    flags runs where a merge dropped more than that much probability weight,
-    which signals a hopeless corner size; a block whose solve fails its
-    residual check flags the run HIGH_RESIDUAL.  The result's iterations
-    count the GMRES iterations of every block solved.
+    Blocks of equal content are solved once (see _solve_region); blocks is
+    a dict that carries those independent of m from one run to the next,
+    as convergence_sweep does, and leaves results unchanged.  The run is
+    summarized from the distinct blocks it used, whichever run solved them:
+    its iterations add up their GMRES iterations, a block that failed its
+    residual check flags it HIGH_RESIDUAL, and a merge that dropped more
+    than DISCARD_BOUND of the probability weight flags it CORNER_TOO_SMALL,
+    a hopeless corner size.
     """
-    if schedule is None:
-        schedule = build_schedule(geom, m, leaf_sites_max=leaf_sites_max)
-    ly = _full_extents(geom)[1]
-    cache = {}
-    blocks = {}
-    steps_info = []
-    flags = []
-    iterations = 0
     t0 = time.time()
-
-    def solve(blk):
-        """Solve a block in place with the shared steady-state kernel."""
-        nonlocal iterations
-        res = steady_state_direct(blk.h, _jumps_for(blk, params),
-                                  parity=np.diag(blk.parity))
-        blk.rho = res.rho.mat
-        blk.info.update(residual=res.residual, iterations=res.iterations,
-                        wall=res.wall_time,
-                        nonnormality=res.diagnostics["nonnormality"])
-        iterations += res.iterations
-        if "HIGH_RESIDUAL" in res.flags and "HIGH_RESIDUAL" not in flags:
-            flags.append("HIGH_RESIDUAL")
-
-    def reuse(src, region):
-        """A solved block moved to an equal-shaped region.  Merged sites are
-        not in region order, so the source's labels are shifted."""
-        shift = (region.x0 - src.region.x0) * ly + region.y0 - src.region.y0
-        return replace(src, region=region, info=dict(src.info),
-                       sites=[s + shift for s in src.sites])
-
-    for region in schedule.leaves:
-        key = ("leaf", region.shape_key(geom))
-        if key not in cache:
-            cache[key] = _build_leaf(region, geom, params, fock)
-            solve(cache[key])
-        blocks[region] = reuse(cache[key], region)
-
-    final_block = blocks[schedule.leaves[0]] if not schedule.steps else None
-    for step in schedule.steps:
-        ba = blocks.pop(step.region_a)
-        bb = blocks.pop(step.region_b)
-        key = ("merge", step.region_a.shape_key(geom), step.region_b.shape_key(geom),
-               step.region_out.shape_key(geom), step.m)
-        cached = key in cache
-        if cached:
-            merged = reuse(cache[key], step.region_out)
-        else:
-            merged, basis = _merge_blocks(ba, bb, step.region_out, step.m,
-                                          geom, params)
-            if basis.kept_weight < 1.0 - discard_bound:
-                flags.append("CORNER_TOO_SMALL")
-            solve(merged)
-            cache[key] = merged
-        steps_info.append({
-            "shape": (merged.region.nx, merged.region.ny),
-            "m": merged.dim,
-            "full_dim": merged.info.get("full_dim"),
-            "exact": merged.dim == merged.info.get("full_dim"),
-            "kept_weight": merged.info.get("kept_weight", 1.0),
-            "residual": merged.info.get("residual"),
-            "wall": merged.info.get("wall"),
-            "iterations": merged.info.get("iterations"),
-            "nonnormality": merged.info.get("nonnormality"),
-            "cached": cached,
-        })
-        blocks[step.region_out] = merged
-        final_block = merged
-
-    rho = DensityMatrix(final_block.rho, basis="corner")
+    run = _Pass(geom, params, fock, m, leaf_sites_max,
+                {} if blocks is None else blocks)
+    _, final = _solve_region(Region(0, 0, *_full_extents(geom)), run)
+    used = run.used.values()
+    flags = []
+    if any("HIGH_RESIDUAL" in b.result.flags for b in used):
+        flags.append("HIGH_RESIDUAL")
+    if any(b.kept_weight < 1.0 - DISCARD_BOUND for b in used):
+        flags.append("CORNER_TOO_SMALL")
     result = SteadyStateResult(
-        rho=rho, residual=final_block.info.get("residual", 0.0), method="corner",
-        iterations=iterations, wall_time=time.time() - t0, flags=tuple(flags),
-        diagnostics={"steps": steps_info, "m": m})
-    return CornerRun(result=result, parity_op=np.diag(final_block.parity),
-                     n_ops=final_block.n_ops, a_ops=final_block.a_ops,
-                     steps=steps_info)
+        rho=DensityMatrix(final.result.rho.mat, basis="corner"),
+        residual=final.result.residual, method="corner",
+        iterations=sum(b.result.iterations for b in used),
+        wall_time=time.time() - t0, flags=tuple(flags))
+    return CornerRun(result=result, parity_op=np.diag(final.parity),
+                     n_op=final.n_op, steps=run.steps)
 
 
 def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
@@ -417,32 +402,32 @@ def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
 
     Returns (run, report).  The first run whose parity and entropy both moved
     less than tol from the previous m is returned with converged=True;
-    otherwise the largest-m run comes back flagged UNCONVERGED.
+    otherwise the largest-m run comes back flagged UNCONVERGED.  The runs
+    share one dict of blocks, so leaves and merges that keep every product
+    are solved once for the whole m list.
     """
     from .observables import parity_expectation, von_neumann_entropy
     if list(m_list) != sorted(m_list):
         raise ValueError("m_list must be ascending")
     report = []
     prev = None
-    last_run = None
+    blocks = {}
     for m in m_list:
         run = corner_steady_state(geom, params, fock, m,
-                                  leaf_sites_max=leaf_sites_max)
+                                  leaf_sites_max=leaf_sites_max, blocks=blocks)
         pi = parity_expectation(run.result.rho, run.parity_op)
         s = von_neumann_entropy(run.result.rho)
         drift = None
         if prev is not None:
             drift = max(abs(pi - prev[0]), abs(s - prev[1]))
-        exact = all(st["exact"] for st in run.steps) if run.steps else True
+        exact = all(st["exact"] for st in run.steps)
         report.append({"m": m, "m_used": run.result.rho.dim,
                        "parity": pi, "entropy": s, "drift": drift,
                        "exact": exact})
-        last_run = run
         if exact or (drift is not None and drift <= tol):
             run.converged = True
             return run, report
         prev = (pi, s)
-    last_run.converged = False
-    last_run.result = replace(last_run.result,
-                              flags=last_run.result.flags + ("UNCONVERGED",))
-    return last_run, report
+    run.converged = False
+    run.result = replace(run.result, flags=run.result.flags + ("UNCONVERGED",))
+    return run, report

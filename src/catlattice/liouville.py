@@ -272,9 +272,7 @@ def steady_state_eigen(liou, tol=1e-10, max_iter=None, seed=7, parity=None,
     rho = _finalize(x, D)
     if "DEGENERATE" in flags and parity is not None:
         P = _as_csr(parity).toarray()
-        rho = 0.5 * (rho + P @ rho @ P)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / rho.trace().real
+        rho = _finalize(0.5 * (rho + P @ rho @ P), D)
     res = _residual(liou, rho)
     return SteadyStateResult(
         rho=DensityMatrix(rho), residual=res, method="eigen", iterations=iters,
@@ -324,10 +322,7 @@ def time_evolve(rho0, liou, t_final, dt=None, trace_tol=1e-8):
                 raise RuntimeError(
                     "trace drift %.3g exceeds %.3g at step %d/%d"
                     % (drift, trace_tol, step + 1, n_steps))
-    rho = x.reshape(D, D)
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho / rho.trace().real,
-                         basis=getattr(rho0, "basis", "fock"))
+    return DensityMatrix(_finalize(x, D), basis=getattr(rho0, "basis", "fock"))
 
 
 def steady_state_time(liou, t_final=60.0, dt=None, rho0=None):

@@ -13,23 +13,22 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
+import scipy.sparse as sp
 
-from .corner import convergence_sweep, corner_steady_state
-from .fock import FockSpace, embed_site_op, number_op, parity_op
+from .corner import convergence_sweep
+from .fock import FockSpace, parity_op, total_number_diagonal
 from .lattice import build_hamiltonian, build_jump_operators
 from .liouville import solve_steady_state
-from .observables import (parity_expectation, site_density,
-                          von_neumann_entropy)
+from .observables import expectation, parity_expectation, von_neumann_entropy
 from .store import SweepStore
 
 
-def _record(res, parity_op, n_ops):
-    """Record body of one steady-state result: observables and solve fields."""
+def _record(res, parity_op, n_op, n_sites):
+    """Record body of one steady-state result; n_op is its total number."""
     return {
         "parity": parity_expectation(res.rho, parity_op),
         "entropy": von_neumann_entropy(res.rho),
-        "n_per_site": float(np.mean(site_density(res.rho, n_ops))),
+        "n_per_site": expectation(res.rho, n_op).real / n_sites,
         "method": res.method,
         "M": res.rho.dim,
         "residual": res.residual,
@@ -51,9 +50,8 @@ def _exact_point(cfg, geom, params, fock):
         kw["t_final"] = cfg.solver.time_t_final
     pi = parity_op(fock, geom.n_sites)
     res = solve_steady_state(h, jumps, method=method, parity=pi, **kw)
-    n_ops = [embed_site_op(number_op(fock), j, geom.n_sites)
-             for j in range(geom.n_sites)]
-    body = _record(res, pi, n_ops)
+    n_op = sp.diags(total_number_diagonal(fock, geom.n_sites))
+    body = _record(res, pi, n_op, geom.n_sites)
     body["nonnormality"] = res.diagnostics.get("nonnormality")
     return body
 
@@ -64,7 +62,7 @@ def _corner_point(cfg, geom, params, fock):
         tol=cfg.corner.drift_tol,
         leaf_sites_max=cfg.corner.leaf_sites_max,
     )
-    body = _record(run.result, run.parity_op, run.n_ops)
+    body = _record(run.result, run.parity_op, run.n_op, geom.n_sites)
     body["converged"] = body["converged"] and run.converged
     body["corner_report"] = report
     body["steps"] = run.steps

@@ -1,14 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import catlattice.corner as corner
-from catlattice.corner import (build_schedule, convergence_sweep,
-                               corner_steady_state, merge_spaces, project_pair)
+from catlattice.corner import (convergence_sweep, corner_steady_state,
+                               merge_spaces, project_pair)
 from catlattice.fock import FockSpace, annihilation_op, number_op, parity_op
 from catlattice.lattice import (ModelParams, build_hamiltonian,
                                 build_jump_operators, chain, rectangle)
-from catlattice.liouville import (DensityMatrix, steady_state_eigen,
-                                  vectorize_lindbladian)
+from catlattice.liouville import (DensityMatrix, steady_state_direct,
+                                  steady_state_eigen, vectorize_lindbladian)
 from catlattice.observables import (parity_expectation, trace_distance,
                                     von_neumann_entropy)
 
@@ -109,11 +112,17 @@ def test_pair_projection_beats_product_of_projections():
     assert np.abs(xa @ yb - ref).max() > 1e-3
 
 
-def test_schedule_shapes():
-    sched = build_schedule(rectangle(2, 2), 16, leaf_sites_max=2)
-    assert all(r.n_sites <= 2 for r in sched.leaves)
-    sched1d = build_schedule(chain(4), 16, leaf_sites_max=2)
-    assert len(sched1d.steps) >= 1
+def test_schedule_shapes(monkeypatch):
+    # the 2x2 torus bisects into two equal 2-site leaves, solved once, and
+    # one merge; the 4-ring into two 2-site leaves and one merge
+    f = FockSpace(2)
+    p = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.5)
+    seen = solved_blocks(monkeypatch)
+    for geom in (rectangle(2, 2), chain(4)):
+        del seen[:]
+        run = corner_steady_state(geom, p, f, 16, leaf_sites_max=2)
+        assert [h.shape[0] for h, _ in seen[:-1]] == [f.dim ** 2]
+        assert len(run.steps) == 1 and seen[-1][0].shape[0] == run.steps[0]["m"]
 
 
 def test_corner_full_m_matches_exact_two_site():
@@ -134,18 +143,23 @@ def test_corner_full_m_matches_exact_two_site():
     assert d_s < 1e-7
 
 
-def test_corner_full_m_matches_exact_l_shape_2x2():
-    f = FockSpace(1)
+def test_corner_full_m_matches_exact_2x2_torus_from_single_sites():
+    # single-site leaves: two 1+1 merges (the second reused) and the 2x2
+    # merge, a tree criterion 3 does not run.  n_max 2 so the two-photon
+    # drive is on (at n_max 1 the state is the vacuum); the eigen oracle
+    # takes 20 s at D = 81, so the reference is the full-space kernel
+    f = FockSpace(2)
     p = ModelParams.resonant(u=10.0, j_hop=5.0, g=0.8)
     geom = rectangle(2, 2)
-    run = corner_steady_state(geom, p, f, f.dim ** 4, leaf_sites_max=2)
-    h = build_hamiltonian(p, geom, f)
-    jumps = build_jump_operators(p, geom, f)
+    run = corner_steady_state(geom, p, f, f.dim ** 4, leaf_sites_max=1)
     pi = parity_op(f, 4)
-    exact = steady_state_eigen(vectorize_lindbladian(h, jumps), parity=pi)
-    d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
-               - parity_expectation(exact.rho, pi))
-    assert d_pi < 1e-7
+    exact = steady_state_direct(build_hamiltonian(p, geom, f),
+                                build_jump_operators(p, geom, f), parity=pi)
+    s = von_neumann_entropy(exact.rho)
+    assert s > 0.1
+    assert abs(parity_expectation(run.result.rho, run.parity_op)
+               - parity_expectation(exact.rho, pi)) < 1e-7
+    assert abs(von_neumann_entropy(run.result.rho) - s) < 1e-7
 
 
 def solved_blocks(monkeypatch):
@@ -167,7 +181,7 @@ def test_leaf_is_the_lattice_hamiltonian():
     for geom, n_max in ((chain(3), 2), (rectangle(2, 2), 1),
                         (rectangle(2, 3), 1)):
         f = FockSpace(n_max)
-        region, = build_schedule(geom, 1, leaf_sites_max=geom.n_sites).leaves
+        region = corner.Region(0, 0, *corner._full_extents(geom))
         leaf = corner._build_leaf(region, geom, p, f)
         assert np.array_equal(leaf.h, build_hamiltonian(p, geom, f).to_dense())
 
@@ -266,3 +280,53 @@ def test_truncated_corner_tracks_exact_three_site():
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     assert d_pi < 2e-3
+
+
+def test_convergence_sweep_reuses_blocks_across_m(monkeypatch):
+    # the 5-ring bisects into (2 + 1) + 2 sites.  Leaves do not depend on
+    # M, nor does the 2+1 merge once M covers its 27 products: they are
+    # solved once for the whole M list, with the same report as runs that
+    # share nothing
+    f = FockSpace(2)
+    p = ModelParams.resonant(u=100.0, j_hop=50.0, g=4.5)
+    leaves = []
+    real_leaf = corner._build_leaf
+
+    def leaf_spy(*args):
+        leaves.append(args[0])
+        return real_leaf(*args)
+
+    monkeypatch.setattr(corner, "_build_leaf", leaf_spy)
+    seen = solved_blocks(monkeypatch)
+    _, report = convergence_sweep(chain(5), p, f, [24, 32, 48])
+    assert [r["m"] for r in report] == [24, 32, 48]
+    assert len(leaves) == 2
+    assert [h.shape[0] for h, _ in seen].count(27) == 1
+
+    real_run = corner.corner_steady_state
+    monkeypatch.setattr(corner, "corner_steady_state",
+                        lambda *a, blocks=None, **kw: real_run(*a, **kw))
+    _, separate = convergence_sweep(chain(5), p, f, [24, 32, 48])
+    assert len(leaves) == 2 + 6
+    assert report == separate
+
+
+def test_convergence_sweep_frees_its_blocks(monkeypatch):
+    # blocks die with the sweep by reference counting alone: a reference
+    # cycle (such as a recursive nested closure) would keep every block of
+    # a point alive until the next full collection
+    built = []
+
+    class Tracked(corner.Block):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(corner, "Block", Tracked)
+    p = ModelParams.resonant(u=100.0, j_hop=50.0, g=4.5)
+    gc.disable()
+    try:
+        convergence_sweep(chain(5), p, FockSpace(2), [24, 32])
+        assert built and all(ref() is None for ref in built)
+    finally:
+        gc.enable()

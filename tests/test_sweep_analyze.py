@@ -8,6 +8,10 @@ import pytest
 import catlattice.sweep as sweep
 from catlattice.analyze import AnalysisError, analyze_rows, infer_dimensionality
 from catlattice.config import RunConfig
+from catlattice.fock import FockSpace, embed_site_op, number_op, parity_op
+from catlattice.lattice import build_hamiltonian, build_jump_operators
+from catlattice.liouville import steady_state_direct
+from catlattice.observables import site_density
 from catlattice.store import CSV_COLUMNS, SweepStore, read_rows
 from catlattice.sweep import run_sweep, solve_point
 
@@ -80,6 +84,29 @@ def test_corner_record_holds_its_steps(tmp_path):
         assert step["nonnormality"] >= 0.0
     # the run's total also counts the leaf solves
     assert rec["iterations"] > sum(s["iterations"] for s in rec["steps"])
+
+
+def test_n_per_site_is_the_mean_site_density(tmp_path):
+    # records take Tr(rho N) / n_sites from one total-number operator; on
+    # the 3-ring the exact and the full-M corner record both equal the mean
+    # density of the embedded site operators
+    cfg = mini_cfg(tmp_path, sizes=[3], n_max=2, g_values=[2.0])
+    geom = cfg.geometries()[0]
+    f = FockSpace(2)
+    params = cfg.model_params(2.0)
+    rho = steady_state_direct(build_hamiltonian(params, geom, f),
+                              build_jump_operators(params, geom, f),
+                              parity=parity_op(f, 3)).rho
+    ref = np.mean(site_density(rho, [embed_site_op(number_op(f), j, 3)
+                                     for j in range(3)]))
+    assert ref > 0.01                    # the drive populates the ring
+    corner_cfg = mini_cfg(tmp_path, sizes=[3], n_max=2, g_values=[2.0],
+                          solver={"method": "corner"},
+                          corner={"m_list": [27]})
+    for c in (cfg, corner_cfg):
+        rec = solve_point(c, geom, 2.0)
+        assert rec["M"] == 27
+        assert abs(rec["n_per_site"] - ref) <= 1e-12
 
 
 def test_exact_record_holds_its_iterations(tmp_path):
