@@ -9,28 +9,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 from .lattice import ModelParams, geometry_from_size
 
 ENV_OUTPUT_DIR = "CATLATTICE_OUTDIR"
 
-_SOLVER_METHODS = ("auto", "direct", "eigen", "time", "corner")
+_SOLVER_METHODS = ("auto", "direct", "corner")
 
 
 @dataclass
 class SolverConfig:
     method: str = "auto"
-    tol: float = 1e-10
     exact_dim_cap: int = 130     # largest Hilbert dimension solved exactly
-    time_t_final: float = 60.0
-    seed: int = 7
-
-    def to_dict(self):
-        return {"method": self.method, "tol": self.tol,
-                "exact_dim_cap": self.exact_dim_cap,
-                "time_t_final": self.time_t_final, "seed": self.seed}
 
 
 @dataclass
@@ -38,11 +30,6 @@ class CornerConfig:
     m_list: list = field(default_factory=lambda: [32, 48, 64])
     leaf_sites_max: int = 2
     drift_tol: float = 1e-3
-
-    def to_dict(self):
-        return {"m_list": list(self.m_list),
-                "leaf_sites_max": self.leaf_sites_max,
-                "drift_tol": self.drift_tol}
 
 
 @dataclass
@@ -77,6 +64,11 @@ class RunConfig:
         for key in d:
             if key not in known:
                 errors.append("unknown field '%s'" % key)
+        for name, sub in (("solver", SolverConfig), ("corner", CornerConfig)):
+            names = {f.name for f in fields(sub)}
+            for key in d.get(name, {}):
+                if key not in names:
+                    errors.append("unknown field '%s.%s'" % (name, key))
         if errors:
             raise ConfigError(errors)
 
@@ -131,12 +123,12 @@ class RunConfig:
         if self.solver.method not in _SOLVER_METHODS:
             errors.append("solver.method must be one of %s"
                           % (_SOLVER_METHODS,))
-        if self.solver.tol <= 0:
-            errors.append("solver.tol must be > 0")
         if not self.corner.m_list or any(m < 1 for m in self.corner.m_list):
             errors.append("corner.m_list must be nonempty positive")
         if sorted(self.corner.m_list) != list(self.corner.m_list):
             errors.append("corner.m_list must be ascending")
+        if self.corner.leaf_sites_max < 1:
+            errors.append("corner.leaf_sites_max must be >= 1")
         if not self.resonant_convention and self.delta is None:
             errors.append("delta is required when resonant_convention is off")
         if errors:
@@ -183,8 +175,8 @@ class RunConfig:
             "eta": self.eta,
             "delta": self.delta,
             "resonant_convention": self.resonant_convention,
-            "solver": self.solver.to_dict(),
-            "corner": self.corner.to_dict(),
+            "solver": asdict(self.solver),
+            "corner": asdict(self.corner),
             "output_dir": self.output_dir,
         }
 

@@ -17,15 +17,16 @@ down.  Truncated blocks live only for their own run.  Each block carries its
 total photon-number operator, the one number operator a record needs: a
 leaf's is diagonal, a merge projects N_A (x) I + I (x) N_B.
 
-Every block, leaf or merged, is solved by the steady-state kernel that the
-exact route also uses (liouville.steady_state_direct): GMRES on L(rho) applied
-as M x M matmuls, preconditioned by its Sylvester part inverted on the
-diagonal of the Schur form of H_eff.  An iteration costs O(K M^3) for K jump
-operators and the solve needs O(M^2) memory; the dense M^2 x M^2
-superoperator is never built.  A corner run of the 2x2 torus at Fock cutoff
-4 (K = 8, one BLAS thread, 2-vCPU Xeon) takes 0.07 s of CPU at M = 64,
-0.38 s at M = 128 and 2.5 s at M = 256, peaking at 92, 108 and 171 MB of
-process memory.
+Every block, leaf or merged, is solved by one steady-state kernel
+(liouville.steady_state_direct); the exact route is the run whose one leaf
+is the whole lattice (see corner_steady_state).  The kernel runs GMRES on
+L(rho) applied as M x M matmuls, preconditioned by its Sylvester part
+inverted on the diagonal of the Schur form of H_eff.  An iteration costs
+O(K M^3) for K jump operators and the solve needs O(M^2) memory; the dense
+M^2 x M^2 superoperator is never built.  A corner run of the 2x2 torus at
+Fock cutoff 4 (K = 8, one BLAS thread, 2-vCPU Xeon) takes 0.07 s of CPU at
+M = 64, 0.38 s at M = 128 and 2.5 s at M = 256, peaking at 92, 108 and
+171 MB of process memory.
 
 Conventions that matter for correctness:
 
@@ -52,6 +53,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import annihilation_op, embed_site_op, total_number_diagonal
 from .lattice import lattice_hamiltonian
@@ -71,6 +73,12 @@ TIE_REL = 1e-10
 # A merge that drops more than DISCARD_BOUND of the probability weight
 # flags its run CORNER_TOO_SMALL.
 DISCARD_BOUND = 0.5
+
+# Up to DENSE_LEAF_DIM states a leaf's H is formed from dense site operators,
+# above from sparse ones (the same H, bit for bit): building H takes 0.1 vs
+# 1.9 ms at D = 25, 8 vs 4 ms at D = 125, 170 vs 5 ms at D = 343 (one BLAS
+# thread, 2-vCPU Xeon), as scipy costs ~50 us per product whatever its size.
+DENSE_LEAF_DIM = 100
 
 
 @dataclass
@@ -160,7 +168,7 @@ def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None):
 
 def project_pair(op_a, op_b, basis):
     """Project X_A (x) Y_B entrywise (see module docstring); X and Y are
-    dense arrays on the blocks' spaces."""
+    dense arrays or scipy sparse matrices on the blocks' spaces."""
     ra = basis.vecs_a.conj().T @ (op_a @ basis.vecs_a)
     rb = basis.vecs_b.conj().T @ (op_b @ basis.vecs_b)
     return ra[np.ix_(basis.idx_a, basis.idx_a)] * rb[np.ix_(basis.idx_b, basis.idx_b)]
@@ -213,14 +221,15 @@ def _split(region):
 class Block:
     """A solved block.  sites are the lattice labels of its operators'
     sites, less the label of its region's first site, so one block serves
-    every region of its shape."""
+    every region of its shape.  h is dense; a leaf's n_op is scipy sparse,
+    and so are its a_j and a_j^2 above DENSE_LEAF_DIM states."""
 
     sites: list
     dim: int
     h: np.ndarray
     a_ops: list
     a2_ops: list
-    n_op: np.ndarray                # total photon number of its sites
+    n_op: object                    # total photon number of its sites
     parity: np.ndarray              # +-1 parity of each basis state
     exact: bool                     # full product spaces all the way down
     full_dim: int = 0               # a merge's product dimension
@@ -229,19 +238,24 @@ class Block:
 
 
 def _build_leaf(region, geom, params, fock):
-    """Exact block for a leaf region: operators in its own tensor basis."""
+    """Exact block for a leaf region, in its own tensor basis, built like
+    build_hamiltonian from the embedded site operators (see DENSE_LEAF_DIM)."""
     sites = region.sites(geom)
     n = len(sites)
+    dim = fock.dim ** n
     local = {s: k for k, s in enumerate(sites)}
     a1 = annihilation_op(fock)
-    a_ops = [embed_site_op(a1, k, n).mat.toarray() for k in range(n)]
+    a_ops = [embed_site_op(a1, k, n).mat for k in range(n)]
+    if dim <= DENSE_LEAF_DIM:
+        a_ops = [a.toarray() for a in a_ops]
     bonds = [(local[b.i], local[b.j], b.weight) for b in geom.bonds
              if b.i in local and b.j in local]
     h = lattice_hamiltonian(params, a_ops, bonds, geom.dimensionality)
     n_diag = total_number_diagonal(fock, n)
-    return Block(sites=[s - sites[0] for s in sites], dim=fock.dim ** n, h=h,
-                 a_ops=a_ops, a2_ops=[a @ a for a in a_ops],
-                 n_op=np.diag(n_diag), parity=(-1.0) ** n_diag, exact=True)
+    return Block(sites=[s - sites[0] for s in sites], dim=dim,
+                 h=h.toarray() if sp.issparse(h) else h, a_ops=a_ops,
+                 a2_ops=[a @ a for a in a_ops], n_op=sp.diags(n_diag),
+                 parity=(-1.0) ** n_diag, exact=True)
 
 
 def _merge_blocks(block_a, block_b, origin_a, origin_b, m, geom, params):
@@ -287,7 +301,7 @@ def _solve_block(blk, params):
     jumps = [np.sqrt(params.gamma) * a for a in blk.a_ops]
     if params.eta > 0:
         jumps += [np.sqrt(params.eta) * a2 for a2 in blk.a2_ops]
-    blk.result = steady_state_direct(blk.h, jumps, parity=np.diag(blk.parity))
+    blk.result = steady_state_direct(blk.h, jumps, parity=blk.parity)
 
 
 @dataclass
@@ -376,7 +390,9 @@ def corner_steady_state(geom, params, fock, m, leaf_sites_max=2, blocks=None):
     its iterations add up their GMRES iterations, a block that failed its
     residual check flags it HIGH_RESIDUAL, and a merge that dropped more
     than DISCARD_BOUND of the probability weight flags it CORNER_TOO_SMALL,
-    a hopeless corner size.
+    a hopeless corner size.  The result carries the final block's kernel
+    diagnostics.  With leaf_sites_max >= geom.n_sites the one leaf is the
+    whole lattice: the run is the exact solution, and its method is "direct".
     """
     t0 = time.time()
     run = _Pass(geom, params, fock, m, leaf_sites_max,
@@ -389,10 +405,11 @@ def corner_steady_state(geom, params, fock, m, leaf_sites_max=2, blocks=None):
     if any(b.kept_weight < 1.0 - DISCARD_BOUND for b in used):
         flags.append("CORNER_TOO_SMALL")
     result = SteadyStateResult(
-        rho=DensityMatrix(final.result.rho.mat, basis="corner"),
-        residual=final.result.residual, method="corner",
+        rho=final.result.rho, residual=final.result.residual,
+        method="corner" if run.steps else "direct",
         iterations=sum(b.result.iterations for b in used),
-        wall_time=time.time() - t0, flags=tuple(flags))
+        wall_time=time.time() - t0, flags=tuple(flags),
+        diagnostics=final.result.diagnostics)
     return CornerRun(result=result, parity_op=np.diag(final.parity),
                      n_op=final.n_op, steps=run.steps)
 

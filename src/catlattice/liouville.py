@@ -5,11 +5,12 @@ The master equation d rho/dt = L[rho] reads
     L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_k g_k rho g_k^dag,
     H_eff = H - (i/2) sum_k g_k^dag g_k.
 
-steady_state_direct is the steady-state kernel of both the exact route and
-every corner block (catlattice.corner): GMRES on L(rho) = 0 at unit trace,
-with L applied as D x D matmuls and a Schur-diagonal Sylvester
-preconditioner.  An iteration costs O(K D^3) for K jump operators and the
-solve holds O(D^2) memory; the D^2 x D^2 superoperator is never formed.
+steady_state_direct is the steady-state kernel of every corner block
+(catlattice.corner), the whole-lattice leaf of the exact route among them:
+GMRES on L(rho) = 0 at unit trace, with L applied as D x D matmuls and a
+Schur-diagonal Sylvester preconditioner.  An iteration costs O(K D^3) for K
+jump operators and the solve holds O(D^2) memory; the D^2 x D^2
+superoperator is never formed.
 
 The two independent oracles do build it, vectorized with row-major (C-order)
 stacking, vec(rho)[i*D + j] = rho[i, j], under which
@@ -42,7 +43,6 @@ RESIDUAL_TOL = 1e-10
 class Liouvillian:
     sup: sp.csr_matrix
     dim: int                 # Hilbert dimension D; sup is D^2 x D^2
-    H: object = None         # the SparseOperator inputs, kept for reference
     jumps: tuple = ()
 
     @property
@@ -52,10 +52,9 @@ class Liouvillian:
 
 @dataclass
 class DensityMatrix:
-    """Dense Hermitian unit-trace matrix over an explicit basis."""
+    """Dense Hermitian unit-trace matrix."""
 
     mat: np.ndarray
-    basis: str = "fock"
     _eigs: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -108,7 +107,7 @@ def vectorize_lindbladian(H, jumps):
         L = L + sp.kron(g, g.conj(), format="csr") \
               - 0.5 * sp.kron(gdg, I, format="csr") \
               - 0.5 * sp.kron(I, gdg.T, format="csr")
-    return Liouvillian(sup=L.tocsr(), dim=D, H=H, jumps=tuple(jumps))
+    return Liouvillian(sup=L.tocsr(), dim=D, jumps=tuple(jumps))
 
 
 def _as_dense(op):
@@ -124,16 +123,24 @@ def _finalize(x, D):
     return rho
 
 
+def _parity_symmetric(rho, parity):
+    """(rho + Pi rho Pi) / 2 for Pi = diag(parity), parity a +-1 vector: rho
+    with its entries between states of opposite parity set to zero."""
+    return np.where(parity[:, None] == parity[None, :], rho, 0.0)
+
+
 def _residual(liou, rho):
     return float(np.linalg.norm(liou.sup @ rho.reshape(-1)))
 
 
-def steady_state_direct(H, jumps, tol=None, parity=None):
+def steady_state_direct(H, jumps, parity=None):
     """Steady state of H and jumps by preconditioned GMRES, matrix-free.
 
-    H, the jumps and parity are SparseOperators or dense arrays.  Solves
-    L(rho) + w tr(rho) I = w I with L(rho) as in the module docstring,
-    applied as D x D matmuls: O(K D^3) per application and O(D^2) memory.
+    H and the jumps are SparseOperators, scipy sparse matrices or dense
+    arrays; parity is the +-1 photon-number parity of each basis state.
+    Solves L(rho) + w tr(rho) I = w I with L(rho) as in the module
+    docstring, applied as D x D matmuls: O(K D^3) per application and
+    O(D^2) memory.
 
     The preconditioner inverts the Sylvester part S(rho) = -i (H_eff rho -
     rho H_eff^dag) on the diagonal lam of the Schur form H_eff = U T U^dag,
@@ -144,10 +151,10 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
     real eigenvalue, such as an undriven vacuum) makes S singular and stalls
     GMRES on an already accurate state.
 
-    With a parity operator, a state whose commutator with it exceeds 1e-10
-    is replaced by its parity-symmetric part (rho + Pi rho Pi) / 2.  The
-    solve is judged by the true residual ||L(rho)||_F of the returned state
-    against tol (default RESIDUAL_TOL) times the operator scale
+    With a parity vector, a state whose commutator with Pi = diag(parity)
+    exceeds 1e-10 is replaced by its parity-symmetric part (rho + Pi rho
+    Pi) / 2.  The solve is judged by the true residual ||L(rho)||_F of the
+    returned state against RESIDUAL_TOL times the operator scale
     2 ||H_eff||_F + sum_k ||g_k||_F^2, not by GMRES's exit code; a miss is
     flagged HIGH_RESIDUAL.  The result's residual is the absolute
     ||L(rho)||_F and its iterations the GMRES count.  Its method is
@@ -157,8 +164,6 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
     function of H is steady and the steady state is not unique.
     """
     t0 = time.time()
-    if tol is None:
-        tol = RESIDUAL_TOL
     h = _as_dense(H)
     m = h.shape[0]
     if m == 1:
@@ -217,16 +222,16 @@ def steady_state_direct(H, jumps, tol=None, parity=None):
     # GMRES's exit code is not consulted: near-singular preconditioners
     # (G -> 0) can stall its preconditioned residual on an accurate state,
     # so the true residual below decides
-    x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * tol, atol=0.0,
+    x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * RESIDUAL_TOL, atol=0.0,
                       restart=40, maxiter=10, callback=norms.append,
                       callback_type="pr_norm")
     rho = _finalize(x, m)
     if parity is not None:
-        p = _as_dense(parity)
-        if np.abs(rho @ p - p @ rho).max() > 1e-10:
-            rho = _finalize(0.5 * (rho + p @ rho @ p), m)
+        sym = _parity_symmetric(rho, parity)
+        if 2.0 * np.abs(rho - sym).max() > 1e-10:     # max|[rho, Pi]|
+            rho = _finalize(sym, m)
     residual = float(np.linalg.norm(lindblad(rho)))
-    flags = () if residual <= tol * scale else ("HIGH_RESIDUAL",)
+    flags = () if residual <= RESIDUAL_TOL * scale else ("HIGH_RESIDUAL",)
     return SteadyStateResult(
         rho=DensityMatrix(rho), residual=residual, method="direct",
         iterations=len(norms), wall_time=time.time() - t0, flags=flags,
@@ -239,7 +244,8 @@ def steady_state_eigen(liou, tol=1e-10, max_iter=None, seed=7, parity=None,
 
     Uses shift-inverted Arnoldi (sigma ~ 0) with k=2 so the gap to the next
     mode is monitored: if the two smallest magnitudes fall within
-    degeneracy_tol the parity-even projection of the candidate is returned
+    degeneracy_tol the parity-symmetric part of the candidate is returned
+    (parity: the +-1 parity of each basis state, as for steady_state_direct)
     and the result is flagged DEGENERATE (near a symmetry-breaking point the
     finite-size steady state is unique only up to numerical precision).
     """
@@ -271,8 +277,7 @@ def steady_state_eigen(liou, tol=1e-10, max_iter=None, seed=7, parity=None,
         flags.append("DEGENERATE")
     rho = _finalize(x, D)
     if "DEGENERATE" in flags and parity is not None:
-        P = _as_csr(parity).toarray()
-        rho = _finalize(0.5 * (rho + P @ rho @ P), D)
+        rho = _finalize(_parity_symmetric(rho, parity), D)
     res = _residual(liou, rho)
     return SteadyStateResult(
         rho=DensityMatrix(rho), residual=res, method="eigen", iterations=iters,
@@ -299,7 +304,7 @@ def time_evolve(rho0, liou, t_final, dt=None, trace_tol=1e-8):
         raise ValueError("rho0 dimension mismatch")
     radius = spectral_radius_bound(liou)
     if radius == 0.0:
-        return DensityMatrix(mat0.copy(), basis=getattr(rho0, "basis", "fock"))
+        return DensityMatrix(mat0.copy())
     if dt is None:
         dt = 2.0 / radius
     if dt * radius >= 2.5:
@@ -322,7 +327,7 @@ def time_evolve(rho0, liou, t_final, dt=None, trace_tol=1e-8):
                 raise RuntimeError(
                     "trace drift %.3g exceeds %.3g at step %d/%d"
                     % (drift, trace_tol, step + 1, n_steps))
-    return DensityMatrix(_finalize(x, D), basis=getattr(rho0, "basis", "fock"))
+    return DensityMatrix(_finalize(x, D))
 
 
 def steady_state_time(liou, t_final=60.0, dt=None, rho0=None):
@@ -340,12 +345,14 @@ def steady_state_time(liou, t_final=60.0, dt=None, rho0=None):
 
 
 def solve_steady_state(H, jumps, method="auto", parity=None, **kw):
-    """Steady state of H and jumps by the named route.
+    """Steady state of H and jumps by the named route, for direct calls.
 
     method: auto | direct | eigen | time.  auto and direct run the
     matrix-free kernel steady_state_direct; eigen and time build the sparse
-    superoperator and stay independent oracles.  Lattices beyond a sweep's
-    exact_dim_cap belong to the corner method (see catlattice.corner).
+    superoperator and stay independent oracles.  parity is the +-1 vector of
+    steady_state_direct; time does not use it.  A sweep does not come
+    through here: it solves an exact point as the corner run whose one leaf
+    is the whole lattice (see catlattice.sweep), with the same kernel.
     """
     if method in ("auto", "direct"):
         return steady_state_direct(H, jumps, parity=parity, **kw)

@@ -1,71 +1,45 @@
 """Sweep execution: route each (size, G) point to a solver and persist it.
 
-Routing is by Hilbert dimension: lattices within the exact cap go to the
-full-space solver, everything larger goes to the corner method with the
-configured corner dimensions.  Under method auto or direct the full-space
-route runs liouville's matrix-free kernel, as every corner block does; its
-records carry method "direct" and the kernel's GMRES iteration count.
-Failures are recorded per point and the sweep only fails when every point
-does.
+Every point is a corner run (catlattice.corner), routed by Hilbert
+dimension.  A lattice within the exact cap is solved exactly, as the run
+whose one leaf is the whole lattice: the lattice model solved by
+liouville's matrix-free kernel, recorded with method "direct", the kernel's
+GMRES iteration count and its nonnormality.  Larger lattices, and every
+lattice under method corner, go through the corner convergence sweep over
+the configured M list.  One function records both.  Failures are recorded
+per point and the sweep only fails when every point does.
 """
 from __future__ import annotations
 
 import os
 import time
 
-import scipy.sparse as sp
-
-from .corner import convergence_sweep
-from .fock import FockSpace, parity_op, total_number_diagonal
-from .lattice import build_hamiltonian, build_jump_operators
-from .liouville import solve_steady_state
+from .corner import convergence_sweep, corner_steady_state
+from .fock import FockSpace
 from .observables import expectation, parity_expectation, von_neumann_entropy
 from .store import SweepStore
 
 
-def _record(res, parity_op, n_op, n_sites):
-    """Record body of one steady-state result; n_op is its total number."""
-    return {
-        "parity": parity_expectation(res.rho, parity_op),
+def _record(run, n_sites, report=None):
+    """Record body of a corner run; report is its convergence report, None
+    for an exact point."""
+    res = run.result
+    body = {
+        "parity": parity_expectation(res.rho, run.parity_op),
         "entropy": von_neumann_entropy(res.rho),
-        "n_per_site": expectation(res.rho, n_op).real / n_sites,
+        "n_per_site": expectation(res.rho, run.n_op).real / n_sites,
         "method": res.method,
         "M": res.rho.dim,
         "residual": res.residual,
-        "converged": "HIGH_RESIDUAL" not in res.flags,
+        "converged": "HIGH_RESIDUAL" not in res.flags and run.converged,
         "flags": list(res.flags),
         "iterations": res.iterations,
     }
-
-
-def _exact_point(cfg, geom, params, fock):
-    h = build_hamiltonian(params, geom, fock)
-    jumps = build_jump_operators(params, geom, fock)
-    method = cfg.solver.method if cfg.solver.method in ("direct", "eigen",
-                                                        "time") else "auto"
-    kw = {"tol": cfg.solver.tol} if method != "time" else {}
-    if method == "eigen":
-        kw["seed"] = cfg.solver.seed
-    if method == "time":
-        kw["t_final"] = cfg.solver.time_t_final
-    pi = parity_op(fock, geom.n_sites)
-    res = solve_steady_state(h, jumps, method=method, parity=pi, **kw)
-    n_op = sp.diags(total_number_diagonal(fock, geom.n_sites))
-    body = _record(res, pi, n_op, geom.n_sites)
-    body["nonnormality"] = res.diagnostics.get("nonnormality")
-    return body
-
-
-def _corner_point(cfg, geom, params, fock):
-    run, report = convergence_sweep(
-        geom, params, fock, list(cfg.corner.m_list),
-        tol=cfg.corner.drift_tol,
-        leaf_sites_max=cfg.corner.leaf_sites_max,
-    )
-    body = _record(run.result, run.parity_op, run.n_op, geom.n_sites)
-    body["converged"] = body["converged"] and run.converged
-    body["corner_report"] = report
-    body["steps"] = run.steps
+    if report is None:
+        body["nonnormality"] = res.diagnostics["nonnormality"]
+    else:
+        body["corner_report"] = report
+        body["steps"] = run.steps
     return body
 
 
@@ -109,11 +83,17 @@ def solve_point(cfg, geom, g):
     t0 = time.time()
     if cfg.solver.method == "corner" or (cfg.solver.method == "auto"
                                          and dim > cfg.solver.exact_dim_cap):
-        body = _corner_point(cfg, geom, params, fock)
+        run, report = convergence_sweep(
+            geom, params, fock, list(cfg.corner.m_list),
+            tol=cfg.corner.drift_tol,
+            leaf_sites_max=cfg.corner.leaf_sites_max)
+        body = _record(run, geom.n_sites, report)
     else:
         # one-photon loss on every site, plus two-photon loss if eta > 0
         _check_exact_memory(dim, geom.n_sites * (2 if params.eta > 0 else 1))
-        body = _exact_point(cfg, geom, params, fock)
+        run = corner_steady_state(geom, params, fock, dim,
+                                  leaf_sites_max=geom.n_sites)
+        body = _record(run, geom.n_sites)
     body["wall_time"] = time.time() - t0
     body["hilbert_dim"] = dim
     return body

@@ -90,7 +90,7 @@ def solver_agreement_group(points=AGREEMENT_POINTS, t_final=60.0):
         liou = vectorize_lindbladian(h, jumps)
         pi = parity_op(fock, geom.n_sites)
         r_dir = steady_state_direct(h, jumps)
-        r_eig = steady_state_eigen(liou, parity=pi)
+        r_eig = steady_state_eigen(liou, parity=pi.mat.diagonal().real)
         r_time = steady_state_time(liou, t_final=t_final)
         pairs = (("direct-eigen", r_dir, r_eig),
                  ("direct-time", r_dir, r_time),
@@ -123,7 +123,8 @@ def corner_exactness_group(inject=None):
         pi = parity_op(fock, geom.n_sites)
         # the corner solves its blocks with the exact route's kernel, so the
         # reference comes from the independent eigen oracle
-        exact = steady_state_eigen(vectorize_lindbladian(h, jumps), parity=pi)
+        exact = steady_state_eigen(vectorize_lindbladian(h, jumps),
+                                   parity=pi.mat.diagonal().real)
         d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                    - parity_expectation(exact.rho, pi))
         d_s = abs(von_neumann_entropy(run.result.rho)

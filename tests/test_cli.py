@@ -50,6 +50,14 @@ def test_solve_bad_config_exits_2(tmp_path, capsys):
     assert "missing required field" in capsys.readouterr().err
 
 
+def test_unknown_solver_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(MINI, solver={"bogus": 1})))
+    rc = main(["solve", "-c", str(bad)])
+    assert rc == 2
+    assert "unknown field 'solver.bogus'" in capsys.readouterr().err
+
+
 def test_unknown_preset_exits_2(capsys):
     rc = main(["solve", "-p", "fig9"])
     assert rc == 2

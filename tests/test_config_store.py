@@ -44,6 +44,28 @@ def test_validate_aggregates_value_errors():
     assert len(err.value.problems) >= 3
 
 
+def test_unknown_solver_and_corner_fields_are_config_errors():
+    # tol, seed and time_t_final were solver fields once; an old config
+    # that still holds them gets a complaint naming each, not a TypeError
+    d = dict(MINIMAL, solver={"method": "auto", "tol": 1e-10, "seed": 7,
+                              "time_t_final": 60.0},
+             corner={"m_list": [8], "bogus": 1})
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(d)
+    assert sorted(err.value.problems) == [
+        "unknown field 'corner.bogus'", "unknown field 'solver.seed'",
+        "unknown field 'solver.time_t_final'", "unknown field 'solver.tol'"]
+
+
+def test_leaf_sites_max_must_be_positive():
+    # leaf_sites_max 0 would make every corner point recurse without end
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(dict(MINIMAL, corner={"leaf_sites_max": 0}))
+    assert err.value.problems == ["corner.leaf_sites_max must be >= 1"]
+    cfg = RunConfig.from_dict(dict(MINIMAL, corner={"leaf_sites_max": 1}))
+    assert cfg.corner.leaf_sites_max == 1
+
+
 def test_resonant_convention_derived_parameters():
     cfg = RunConfig.from_dict(dict(MINIMAL))
     assert cfg.effective_delta() == -20.0

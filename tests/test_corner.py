@@ -3,11 +3,13 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import catlattice.corner as corner
 from catlattice.corner import (convergence_sweep, corner_steady_state,
                                merge_spaces, project_pair)
-from catlattice.fock import FockSpace, annihilation_op, number_op, parity_op
+from catlattice.fock import (FockSpace, annihilation_op, number_op, parity_op,
+                             total_number_diagonal)
 from catlattice.lattice import (ModelParams, build_hamiltonian,
                                 build_jump_operators, chain, rectangle)
 from catlattice.liouville import (DensityMatrix, steady_state_direct,
@@ -134,7 +136,8 @@ def test_corner_full_m_matches_exact_two_site():
     h = build_hamiltonian(p, geom, f)
     jumps = build_jump_operators(p, geom, f)
     pi = parity_op(f, 2)
-    exact = steady_state_eigen(vectorize_lindbladian(h, jumps), parity=pi)
+    exact = steady_state_eigen(vectorize_lindbladian(h, jumps),
+                                parity=pi.mat.diagonal().real)
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     d_s = abs(von_neumann_entropy(run.result.rho)
@@ -154,7 +157,8 @@ def test_corner_full_m_matches_exact_2x2_torus_from_single_sites():
     run = corner_steady_state(geom, p, f, f.dim ** 4, leaf_sites_max=1)
     pi = parity_op(f, 4)
     exact = steady_state_direct(build_hamiltonian(p, geom, f),
-                                build_jump_operators(p, geom, f), parity=pi)
+                                build_jump_operators(p, geom, f),
+                                parity=pi.mat.diagonal().real)
     s = von_neumann_entropy(exact.rho)
     assert s > 0.1
     assert abs(parity_expectation(run.result.rho, run.parity_op)
@@ -175,15 +179,40 @@ def solved_blocks(monkeypatch):
     return seen
 
 
-def test_leaf_is_the_lattice_hamiltonian():
-    # one formula: a leaf spanning the whole lattice is build_hamiltonian
+def test_leaf_is_the_lattice_hamiltonian(monkeypatch):
+    # one formula: the run whose one leaf spans the whole lattice (the
+    # exact route) hands the kernel build_hamiltonian, build_jump_operators
+    # (sqrt(gamma) a_j, then sqrt(eta) a_j^2) and the parity of parity_op,
+    # and records with the number diagonal of total_number_diagonal; the
+    # 3-ring at n_max 4 (D = 125) is built from sparse site operators, the
+    # other leaves from dense ones (corner.DENSE_LEAF_DIM)
     p = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.5)
+    seen = []
+    real = corner.steady_state_direct
+
+    def spy(h, jumps, **kw):
+        seen.append((h, jumps, kw["parity"]))
+        return real(h, jumps, **kw)
+
+    monkeypatch.setattr(corner, "steady_state_direct", spy)
     for geom, n_max in ((chain(3), 2), (rectangle(2, 2), 1),
-                        (rectangle(2, 3), 1)):
+                        (rectangle(2, 3), 1), (chain(3), 4)):
         f = FockSpace(n_max)
-        region = corner.Region(0, 0, *corner._full_extents(geom))
-        leaf = corner._build_leaf(region, geom, p, f)
-        assert np.array_equal(leaf.h, build_hamiltonian(p, geom, f).to_dense())
+        n = geom.n_sites
+        run = corner_steady_state(geom, p, f, f.dim ** n, leaf_sites_max=n)
+        (h, jumps, parity), = seen
+        seen.clear()
+        assert np.array_equal(h, build_hamiltonian(p, geom, f).to_dense())
+        ref = build_jump_operators(p, geom, f)
+        assert len(jumps) == len(ref) == 2 * n
+        for g, r in zip(jumps, ref):
+            assert sp.issparse(g) == (f.dim ** n > corner.DENSE_LEAF_DIM)
+            assert np.array_equal(g.toarray() if sp.issparse(g) else g,
+                                  r.to_dense())
+        assert np.array_equal(parity, parity_op(f, n).mat.diagonal().real)
+        assert np.array_equal(run.n_op.diagonal(),
+                              total_number_diagonal(f, n))
+        assert run.result.method == "direct" and run.steps == []
 
 
 def full_m_corner_with_exact_spectrum(monkeypatch, geom, p, f):
@@ -209,7 +238,7 @@ def test_full_m_corner_closes_periodic_axes(monkeypatch, geom):
     pi = parity_op(f, geom.n_sites)
     exact = steady_state_eigen(vectorize_lindbladian(
         build_hamiltonian(p, geom, f), build_jump_operators(p, geom, f)),
-        parity=pi)
+        parity=pi.mat.diagonal().real)
     assert abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi)) < 1e-8
     assert abs(von_neumann_entropy(run.result.rho)
@@ -234,9 +263,10 @@ def test_corner_parity_is_exactly_diagonal_on_the_3x3_torus(monkeypatch):
     p = ModelParams.resonant(u=100.0, j_hop=50.0, g=5.0)
     seen = solved_blocks(monkeypatch)
     run = corner_steady_state(rectangle(3, 3), p, FockSpace(4), 128)
-    for _, par in seen + [(None, run.parity_op)]:
-        assert np.array_equal(par, np.diag(np.diag(par)))
-        assert set(np.diag(par)) <= {1.0, -1.0}
+    for _, par in seen:
+        assert par.ndim == 1 and set(par) <= {1.0, -1.0}
+    assert np.array_equal(run.parity_op, np.diag(np.diag(run.parity_op)))
+    assert set(np.diag(run.parity_op)) <= {1.0, -1.0}
     rho = run.result.rho.mat
     assert np.abs(rho @ run.parity_op - run.parity_op @ rho).max() <= 1e-12
     assert "HIGH_RESIDUAL" not in run.result.flags
@@ -276,7 +306,8 @@ def test_truncated_corner_tracks_exact_three_site():
     h = build_hamiltonian(p, geom, f)
     jumps = build_jump_operators(p, geom, f)
     pi = parity_op(f, 3)
-    exact = steady_state_eigen(vectorize_lindbladian(h, jumps), parity=pi)
+    exact = steady_state_eigen(vectorize_lindbladian(h, jumps),
+                                parity=pi.mat.diagonal().real)
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     assert d_pi < 2e-3

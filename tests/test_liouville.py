@@ -109,7 +109,7 @@ def test_degenerate_kernel_flagged():
                        hermitian=True)
     liou = vectorize_lindbladian(h, [a2])
     pi = parity_op(f, 1)
-    res = steady_state_eigen(liou, parity=pi)
+    res = steady_state_eigen(liou, parity=pi.mat.diagonal().real)
     assert "DEGENERATE" in res.flags
     res.rho.validate()
 
@@ -176,7 +176,7 @@ def test_three_ring_beyond_sparse_lu_reach():
     h = build_hamiltonian(p, geom, f)
     jumps = build_jump_operators(p, geom, f)
     pi = parity_op(f, 3).mat.toarray()
-    res = solve_steady_state(h, jumps, parity=pi)
+    res = solve_steady_state(h, jumps, parity=np.diag(pi).real)
     rho = res.rho.mat
     assert rho.shape == (125, 125)
     assert res.method == "direct" and "HIGH_RESIDUAL" not in res.flags

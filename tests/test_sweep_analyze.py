@@ -4,14 +4,18 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import catlattice.corner as corner
 import catlattice.sweep as sweep
 from catlattice.analyze import AnalysisError, analyze_rows, infer_dimensionality
 from catlattice.config import RunConfig
-from catlattice.fock import FockSpace, embed_site_op, number_op, parity_op
+from catlattice.fock import (FockSpace, embed_site_op, number_op, parity_op,
+                             total_number_diagonal)
 from catlattice.lattice import build_hamiltonian, build_jump_operators
 from catlattice.liouville import steady_state_direct
-from catlattice.observables import site_density
+from catlattice.observables import (expectation, parity_expectation,
+                                    site_density, von_neumann_entropy)
 from catlattice.store import CSV_COLUMNS, SweepStore, read_rows
 from catlattice.sweep import run_sweep, solve_point
 
@@ -22,7 +26,7 @@ MINI = {
     "sizes": [1, [1, 2]],
     "n_max": 3,
     "g_values": [0.0, 2.0],
-    "solver": {"method": "direct", "tol": 1e-10},
+    "solver": {"method": "direct"},
 }
 
 
@@ -96,7 +100,7 @@ def test_n_per_site_is_the_mean_site_density(tmp_path):
     params = cfg.model_params(2.0)
     rho = steady_state_direct(build_hamiltonian(params, geom, f),
                               build_jump_operators(params, geom, f),
-                              parity=parity_op(f, 3)).rho
+                              parity=parity_op(f, 3).mat.diagonal().real).rho
     ref = np.mean(site_density(rho, [embed_site_op(number_op(f), j, 3)
                                      for j in range(3)]))
     assert ref > 0.01                    # the drive populates the ring
@@ -120,6 +124,33 @@ def test_exact_record_holds_its_iterations(tmp_path):
     assert math.isfinite(rec["nonnormality"]) and rec["nonnormality"] >= 0.0
 
 
+@pytest.mark.parametrize("size,n_max", [(2, 4), ([2, 2], 2)],
+                         ids=["2-ring", "2x2"])
+def test_exact_record_is_the_full_space_kernel(tmp_path, size, n_max):
+    # an exact point is solved as the whole-lattice corner leaf; its record
+    # is that of the kernel on the lattice builders' H and jumps
+    cfg = mini_cfg(tmp_path, sizes=[size], n_max=n_max, g_values=[2.0])
+    geom = cfg.geometries()[0]
+    f = FockSpace(n_max)
+    params = cfg.model_params(2.0)
+    pi = parity_op(f, geom.n_sites)
+    res = steady_state_direct(build_hamiltonian(params, geom, f),
+                              build_jump_operators(params, geom, f),
+                              parity=pi.mat.diagonal().real)
+    n_op = sp.diags(total_number_diagonal(f, geom.n_sites))
+    ref = {"parity": parity_expectation(res.rho, pi),
+           "entropy": von_neumann_entropy(res.rho),
+           "n_per_site": expectation(res.rho, n_op).real / geom.n_sites,
+           "residual": res.residual,
+           "nonnormality": res.diagnostics["nonnormality"]}
+    rec = solve_point(cfg, geom, 2.0)
+    for key, val in ref.items():
+        assert abs(rec[key] - val) <= 1e-12, key
+    assert rec["iterations"] == res.iterations > 0
+    assert rec["method"] == "direct" and rec["M"] == f.dim ** geom.n_sites
+    assert rec["flags"] == list(res.flags) == [] and rec["converged"]
+
+
 def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
     # a 4-ring at n_max 8 (D = 6561) would need about 58 GB; the pre-flight
     # records it as failed before any operator is built, and the small point
@@ -128,13 +159,13 @@ def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
     assert sweep.available_memory() > 0
     monkeypatch.setattr(sweep, "available_memory", lambda: 8 * 2**30)
     built = []
-    real = sweep.build_hamiltonian
+    real = corner._build_leaf
 
-    def spy(params, geom, fock):
+    def spy(region, geom, params, fock):
         built.append(geom.n_sites)
-        return real(params, geom, fock)
+        return real(region, geom, params, fock)
 
-    monkeypatch.setattr(sweep, "build_hamiltonian", spy)
+    monkeypatch.setattr(corner, "_build_leaf", spy)
     cfg = mini_cfg(tmp_path, sizes=[1, 4], n_max=8, g_values=[2.0],
                    solver={"method": "auto", "exact_dim_cap": 10**5})
     last = run_sweep(cfg).last_sweep
