@@ -7,8 +7,8 @@ finite-size-scaling machinery for locating the critical point.
 
 __version__ = "0.1.0"
 
-from .fock import (FockSpace, SparseOperator, annihilation_op, embed_site_op,
-                   number_op, parity_op)
+from .fock import (FockSpace, annihilation_op, embed_site_op, number_op,
+                   parity_op)
 from .lattice import (LatticeGeometry, ModelParams, chain, rectangle,
                       geometry_from_size, build_hamiltonian,
                       build_jump_operators)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .lattice import ModelParams, geometry_from_size
@@ -17,6 +17,17 @@ from .lattice import ModelParams, geometry_from_size
 ENV_OUTPUT_DIR = "CATLATTICE_OUTDIR"
 
 _SOLVER_METHODS = ("auto", "direct", "corner")
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          bool: "true or false", list: "a list of integers"}
+
+
+def _fits(value, default):
+    """Whether a JSON value has the type of a field's default."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, 0) for v in value)
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return (isinstance(value, kind)
+            and isinstance(value, bool) == isinstance(default, bool))
 
 
 @dataclass
@@ -64,11 +75,23 @@ class RunConfig:
         for key in d:
             if key not in known:
                 errors.append("unknown field '%s'" % key)
+        typed = [(key, d[key], default) for key, default in (
+            ("u", 0.0), ("j_hop", 0.0), ("n_max", 0), ("gamma", 0.0),
+            ("eta", 0.0), ("delta", 0.0), ("resonant_convention", True))
+            if key in d and not (d[key] is None and key in ("eta", "delta"))]
         for name, sub in (("solver", SolverConfig), ("corner", CornerConfig)):
-            names = {f.name for f in fields(sub)}
-            for key in d.get(name, {}):
-                if key not in names:
-                    errors.append("unknown field '%s.%s'" % (name, key))
+            given = d.get(name, {})
+            if not isinstance(given, dict):
+                errors.append("%s must be an object" % name)
+                continue
+            defaults = asdict(sub())
+            errors += ["unknown field '%s.%s'" % (name, key)
+                       for key in given if key not in defaults]
+            typed += [("%s.%s" % (name, key), value, defaults[key])
+                      for key, value in given.items() if key in defaults]
+        errors += ["%s must be %s" % (key, _KINDS[type(default)])
+                   for key, value, default in typed
+                   if not _fits(value, default)]
         if errors:
             raise ConfigError(errors)
 
@@ -84,7 +107,7 @@ class RunConfig:
             gamma=float(d.get("gamma", 1.0)),
             eta=None if d.get("eta") is None else float(d["eta"]),
             delta=None if d.get("delta") is None else float(d["delta"]),
-            resonant_convention=bool(d.get("resonant_convention", True)),
+            resonant_convention=d.get("resonant_convention", True),
             solver=solver,
             corner=corner,
             output_dir=d.get("output_dir"),
@@ -117,7 +140,7 @@ class RunConfig:
             errors.append("sizes is empty")
         for s in self.sizes:
             try:
-                geometry_from_size(s if not isinstance(s, list) else tuple(s))
+                geometry_from_size(s)
             except (ValueError, TypeError) as e:
                 errors.append("bad size %r: %s" % (s, e))
         if self.solver.method not in _SOLVER_METHODS:
@@ -131,6 +154,9 @@ class RunConfig:
             errors.append("corner.leaf_sites_max must be >= 1")
         if not self.resonant_convention and self.delta is None:
             errors.append("delta is required when resonant_convention is off")
+        errors += ["%s cannot be set while resonant_convention is on" % key
+                   for key in ("eta", "delta") if self.resonant_convention
+                   and getattr(self, key) is not None]
         if errors:
             raise ConfigError(errors)
 
@@ -152,11 +178,7 @@ class RunConfig:
                            eta=self.effective_eta())
 
     def geometries(self):
-        out = []
-        for s in self.sizes:
-            out.append(geometry_from_size(tuple(s) if isinstance(s, list)
-                                          else s))
-        return out
+        return [geometry_from_size(s) for s in self.sizes]
 
     def resolved_output_dir(self):
         if self.output_dir:
@@ -164,21 +186,7 @@ class RunConfig:
         return os.environ.get(ENV_OUTPUT_DIR, os.path.join(".", "runs"))
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "u": self.u,
-            "j_hop": self.j_hop,
-            "sizes": self.sizes,
-            "n_max": self.n_max,
-            "g_values": list(self.g_values),
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "delta": self.delta,
-            "resonant_convention": self.resonant_convention,
-            "solver": asdict(self.solver),
-            "corner": asdict(self.corner),
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -245,7 +245,7 @@ def _build_leaf(region, geom, params, fock):
     dim = fock.dim ** n
     local = {s: k for k, s in enumerate(sites)}
     a1 = annihilation_op(fock)
-    a_ops = [embed_site_op(a1, k, n).mat for k in range(n)]
+    a_ops = [embed_site_op(a1, k, n) for k in range(n)]
     if dim <= DENSE_LEAF_DIM:
         a_ops = [a.toarray() for a in a_ops]
     bonds = [(local[b.i], local[b.j], b.weight) for b in geom.bonds
@@ -373,10 +373,15 @@ class CornerRun:
     """Final corner steady state plus the projected operators to evaluate it."""
 
     result: SteadyStateResult
-    parity_op: np.ndarray
+    parity: np.ndarray              # +-1 parity of each corner state
     n_op: np.ndarray                # total photon number
     steps: list
     converged: bool = True
+
+    @property
+    def parity_op(self):
+        """The parity as a dense diagonal matrix, for callers that want Pi."""
+        return np.diag(self.parity)
 
 
 def corner_steady_state(geom, params, fock, m, leaf_sites_max=2, blocks=None):
@@ -410,7 +415,7 @@ def corner_steady_state(geom, params, fock, m, leaf_sites_max=2, blocks=None):
         iterations=sum(b.result.iterations for b in used),
         wall_time=time.time() - t0, flags=tuple(flags),
         diagnostics=final.result.diagnostics)
-    return CornerRun(result=result, parity_op=np.diag(final.parity),
+    return CornerRun(result=result, parity=final.parity,
                      n_op=final.n_op, steps=run.steps)
 
 
@@ -432,7 +437,7 @@ def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
     for m in m_list:
         run = corner_steady_state(geom, params, fock, m,
                                   leaf_sites_max=leaf_sites_max, blocks=blocks)
-        pi = parity_expectation(run.result.rho, run.parity_op)
+        pi = parity_expectation(run.result.rho, run.parity)
         s = von_neumann_entropy(run.result.rho)
         drift = None
         if prev is not None:

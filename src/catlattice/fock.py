@@ -1,18 +1,16 @@
 """Truncated single-site Fock algebra and Kronecker embedding into lattice operators.
 
 Everything downstream (Hamiltonians, jump operators, parity) is assembled from
-the operators built here.  Tensor-index convention: site 0 is the slowest-varying
-index, i.e. the basis of an N-site lattice is |n_0> (x) |n_1> (x) ... (x) |n_{N-1}>
-with n_0 in the outermost Kronecker factor.
+the operators built here, complex scipy CSR matrices.  Tensor-index
+convention: site 0 is the slowest-varying index, i.e. the basis of an N-site
+lattice is |n_0> (x) |n_1> (x) ... (x) |n_{N-1}> with n_0 in the outermost
+Kronecker factor.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-# Stored matrix entries below this magnitude are dropped on construction.
-DROP_TOL = 1e-15
 
 # Hard cap on the many-body dimension.  Hitting it signals an infeasible
 # lattice for the exact constructors, not a soft performance warning.
@@ -38,67 +36,21 @@ class FockSpace:
         return self.n_max + 1
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Complex CSR matrix plus a verified Hermiticity tag.
-
-    The class is a deliberately thin wrapper: numerical code unwraps .mat and
-    works with scipy directly.  The tag exists so solvers and tests can assert
-    what the constructor promised.
-    """
-
-    mat: sp.csr_matrix
-    hermitian: bool = False
-
-    def __post_init__(self):
-        m = self.mat.tocsr()
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("operators must be square")
-        m = m.astype(np.complex128, copy=False)
-        m.eliminate_zeros()
-        scale = np.abs(m.data).max() if m.nnz else 0.0
-        if m.nnz and scale > 0:
-            mask = np.abs(m.data) >= DROP_TOL
-            if not mask.all():
-                m.data[~mask] = 0.0
-                m.eliminate_zeros()
-        object.__setattr__(self, "mat", m)
-        if self.hermitian and m.nnz:
-            dev = abs(m - m.getH()).max()
-            if dev > 1e-12 * max(scale, 1e-300):
-                raise ValueError("hermitian tag set but max|M - M^dag| = %g" % dev)
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    @property
-    def nnz(self):
-        return self.mat.nnz
-
-    def dagger(self):
-        return SparseOperator(self.mat.getH().tocsr(), hermitian=self.hermitian)
-
-    def to_dense(self):
-        return self.mat.toarray()
-
-
 def annihilation_op(fock):
     """Bosonic annihilation operator a with <n-1|a|n> = sqrt(n)."""
     d = fock.dim
     data = np.sqrt(np.arange(1, d, dtype=float))
-    m = sp.diags(data, offsets=1, shape=(d, d), format="csr", dtype=complex)
-    return SparseOperator(m)
+    return sp.diags(data, offsets=1, shape=(d, d), format="csr", dtype=complex)
 
 
 def number_op(fock):
     d = fock.dim
-    m = sp.diags(np.arange(d, dtype=float), 0, shape=(d, d), format="csr", dtype=complex)
-    return SparseOperator(m, hermitian=True)
+    return sp.diags(np.arange(d, dtype=float), 0, shape=(d, d), format="csr",
+                    dtype=complex)
 
 
 def identity_op(dim):
-    return SparseOperator(sp.identity(dim, dtype=complex, format="csr"), hermitian=True)
+    return sp.identity(dim, dtype=complex, format="csr")
 
 
 def _check_cap(dim):
@@ -114,16 +66,15 @@ def embed_site_op(op, site, n_sites):
     """
     if not (0 <= site < n_sites):
         raise ValueError("site %d out of range for %d sites" % (site, n_sites))
-    d = op.dim
+    d = op.shape[0]
     _check_cap(d ** n_sites)
     left = d ** site
     right = d ** (n_sites - site - 1)
-    m = op.mat
     if left > 1:
-        m = sp.kron(sp.identity(left, dtype=complex, format="csr"), m, format="csr")
+        op = sp.kron(sp.identity(left, dtype=complex, format="csr"), op, format="csr")
     if right > 1:
-        m = sp.kron(m, sp.identity(right, dtype=complex, format="csr"), format="csr")
-    return SparseOperator(m.tocsr(), hermitian=op.hermitian)
+        op = sp.kron(op, sp.identity(right, dtype=complex, format="csr"), format="csr")
+    return op
 
 
 def total_number_diagonal(fock, n_sites):
@@ -140,5 +91,4 @@ def total_number_diagonal(fock, n_sites):
 def parity_op(fock, n_sites):
     """Photon-number parity Pi = exp(i pi sum_j n_hat_j); diagonal +-1."""
     diag = (-1.0) ** total_number_diagonal(fock, n_sites)
-    m = sp.diags(diag, 0, format="csr", dtype=complex)
-    return SparseOperator(m, hermitian=True)
+    return sp.diags(diag, 0, format="csr", dtype=complex)

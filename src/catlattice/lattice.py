@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import SparseOperator, annihilation_op, embed_site_op, _check_cap
+from .fock import annihilation_op, embed_site_op, _check_cap
 
 
 @dataclass(frozen=True)
@@ -176,22 +176,20 @@ def lattice_hamiltonian(params, a_ops, bonds, dimensionality):
 
 
 def build_hamiltonian(params, geom, fock):
-    """Assemble the lattice Hamiltonian as a Hermitian SparseOperator."""
+    """The lattice Hamiltonian, Hermitian, as a complex CSR matrix."""
     n = geom.n_sites
     _check_cap(fock.dim ** n)
-    a_site = [embed_site_op(annihilation_op(fock), j, n).mat for j in range(n)]
-    H = lattice_hamiltonian(params, a_site,
-                            [(b.i, b.j, b.weight) for b in geom.bonds],
-                            geom.dimensionality)
-    return SparseOperator(H.tocsr(), hermitian=True)
+    a_site = [embed_site_op(annihilation_op(fock), j, n) for j in range(n)]
+    return lattice_hamiltonian(params, a_site,
+                               [(b.i, b.j, b.weight) for b in geom.bonds],
+                               geom.dimensionality).tocsr()
 
 
 def build_jump_operators(params, geom, fock):
     """sqrt(gamma) a_j for every site, then sqrt(eta) a_j^2 if eta > 0."""
     n = geom.n_sites
     a_site = [embed_site_op(annihilation_op(fock), j, n) for j in range(n)]
-    jumps = [SparseOperator(np.sqrt(params.gamma) * aj.mat) for aj in a_site]
+    jumps = [np.sqrt(params.gamma) * aj for aj in a_site]
     if params.eta > 0:
-        jumps += [SparseOperator(np.sqrt(params.eta) * (aj.mat @ aj.mat))
-                  for aj in a_site]
+        jumps += [np.sqrt(params.eta) * (aj @ aj) for aj in a_site]
     return jumps

@@ -32,8 +32,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fock import SparseOperator
-
 # A steady state is accepted when ||L(rho)||_F <= RESIDUAL_TOL times the
 # operator scale (see steady_state_direct).
 RESIDUAL_TOL = 1e-10
@@ -89,18 +87,14 @@ class SteadyStateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_csr(op):
-    return op.mat if isinstance(op, SparseOperator) else sp.csr_matrix(op)
-
-
 def vectorize_lindbladian(H, jumps):
     """Build the D^2 x D^2 superoperator for Hamiltonian H and jump list."""
-    Hm = _as_csr(H)
+    Hm = sp.csr_matrix(H)
     D = Hm.shape[0]
     I = sp.identity(D, dtype=complex, format="csr")
     L = -1j * (sp.kron(Hm, I, format="csr") - sp.kron(I, Hm.T, format="csr"))
     for j in jumps:
-        g = _as_csr(j)
+        g = sp.csr_matrix(j)
         if g.shape[0] != D:
             raise ValueError("jump dimension %d != %d" % (g.shape[0], D))
         gdg = (g.getH() @ g).tocsr()
@@ -111,8 +105,6 @@ def vectorize_lindbladian(H, jumps):
 
 
 def _as_dense(op):
-    if isinstance(op, SparseOperator):
-        op = op.mat
     return op.toarray() if sp.issparse(op) else np.asarray(op, dtype=complex)
 
 
@@ -136,11 +128,10 @@ def _residual(liou, rho):
 def steady_state_direct(H, jumps, parity=None):
     """Steady state of H and jumps by preconditioned GMRES, matrix-free.
 
-    H and the jumps are SparseOperators, scipy sparse matrices or dense
-    arrays; parity is the +-1 photon-number parity of each basis state.
-    Solves L(rho) + w tr(rho) I = w I with L(rho) as in the module
-    docstring, applied as D x D matmuls: O(K D^3) per application and
-    O(D^2) memory.
+    H and the jumps are scipy sparse matrices or dense arrays; parity is
+    the +-1 photon-number parity of each basis state.  Solves L(rho) +
+    w tr(rho) I = w I with L(rho) as in the module docstring, applied as
+    D x D matmuls: O(K D^3) per application and O(D^2) memory.
 
     The preconditioner inverts the Sylvester part S(rho) = -i (H_eff rho -
     rho H_eff^dag) on the diagonal lam of the Schur form H_eff = U T U^dag,

@@ -2,23 +2,17 @@
 
 import numpy as np
 
-from .fock import SparseOperator
-
-
-def _op_mat(op):
-    if isinstance(op, SparseOperator):
-        return op.mat
-    return op
-
 
 def parity_expectation(rho, pi_op, imag_tol=1e-10):
-    """Tr(rho Pi).  The imaginary part must vanish; it is checked, then dropped."""
+    """Tr(rho Pi) for Pi a matrix or the +-1 vector of its diagonal.  The
+    imaginary part must vanish; it is checked, then dropped."""
     mat = rho.mat if hasattr(rho, "mat") else np.asarray(rho)
-    P = _op_mat(pi_op)
-    if P.shape[0] != mat.shape[0]:
+    if pi_op.shape[0] != mat.shape[0]:
         raise ValueError("operator dimension %d does not match state dimension %d"
-                         % (P.shape[0], mat.shape[0]))
-    val = complex((P @ mat).trace())
+                         % (pi_op.shape[0], mat.shape[0]))
+    if pi_op.ndim == 1:
+        return float(mat.diagonal().real @ pi_op)
+    val = complex((pi_op @ mat).trace())
     if abs(val.imag) > imag_tol:
         raise ValueError("parity expectation has imaginary part %g" % val.imag)
     return float(val.real)
@@ -39,7 +33,7 @@ def von_neumann_entropy(rho, eig_floor=1e-14):
 
 def expectation(rho, op):
     mat = rho.mat if hasattr(rho, "mat") else np.asarray(rho)
-    return complex((_op_mat(op) @ mat).trace())
+    return complex((op @ mat).trace())
 
 
 def site_density(rho, number_ops):
@@ -53,9 +47,7 @@ def site_density(rho, number_ops):
 
 def correlation(rho, a_ops, j, jp):
     """<a_j^dag a_j'> from the (projected) annihilation operators."""
-    aj = _op_mat(a_ops[j])
-    ajp = _op_mat(a_ops[jp])
-    return expectation(rho, aj.conj().T @ ajp)
+    return expectation(rho, a_ops[j].conj().T @ a_ops[jp])
 
 
 def trace_distance(rho_a, rho_b):

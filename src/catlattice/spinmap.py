@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import SparseOperator, annihilation_op, number_op, parity_op
+from .fock import FockSpace, annihilation_op, parity_op
 from .lattice import build_hamiltonian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -105,13 +105,10 @@ def cat_states(alpha, fock, norm_tol=1e-8):
 
 def annihilation_on_cats(basis):
     """2x2 matrix <C^s| a |C^s'> in the (+, -) ordering."""
-    fock_dim = basis.plus.size
-    a = annihilation_op(type("F", (), {"dim": fock_dim, "n_max": fock_dim - 1})())
-    am = a.mat
+    am = annihilation_op(FockSpace(basis.plus.size - 1))
     vecs = [basis.plus, basis.minus]
-    out = np.array([[np.vdot(vecs[i], am @ vecs[j]) for j in range(2)]
-                    for i in range(2)])
-    return out
+    return np.array([[np.vdot(vecs[i], am @ vecs[j]) for j in range(2)]
+                     for i in range(2)])
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ def _embed_pauli(op, site, n):
 
 
 def build_xy_hamiltonian(coeffs, geom):
-    """H_XY on the lattice, as a Hermitian SparseOperator over N spins."""
+    """H_XY on the lattice over N spins, Hermitian, as a complex CSR matrix."""
     n = geom.n_sites
     if n > 24:
         raise ValueError("2^%d spin dimension is past the cap" % n)
@@ -189,7 +186,7 @@ def build_xy_hamiltonian(coeffs, geom):
         sxsx = _embed_pauli(SIGMA_X, b.i, n) @ _embed_pauli(SIGMA_X, b.j, n)
         sysy = _embed_pauli(SIGMA_Y, b.i, n) @ _embed_pauli(SIGMA_Y, b.j, n)
         H = H - b.weight * (coeffs.c_xx * sxsx + coeffs.c_yy * sysy)
-    return SparseOperator(H.tocsr(), hermitian=True)
+    return H.tocsr()
 
 
 def cat_isometry(basis, n_sites):
@@ -210,10 +207,10 @@ def validate_mapping(alpha, params, geom, fock):
     basis = cat_states(alpha, fock)
     n = geom.n_sites
     v = cat_isometry(basis, n)
-    hb = build_hamiltonian(params, geom, fock).mat
+    hb = build_hamiltonian(params, geom, fock)
     h_proj = v.conj().T @ (hb @ v)
     coeffs = SpinModelCoefficients.from_params(alpha, params, geom)
-    h_xy = build_xy_hamiltonian(coeffs, geom).mat.toarray()
+    h_xy = build_xy_hamiltonian(coeffs, geom).toarray()
     scalar = coeffs.identity_scalars(params)["total"] * n
     dev = np.abs(h_proj - h_xy - scalar * np.eye(2 ** n)).max()
     return float(dev)
@@ -240,7 +237,7 @@ def estimate_alpha(params, fock, alpha_max=None, grid=60, refine_iter=40):
     jumps = build_jump_operators(params, single, fock)
     res = solve_steady_state(h, jumps)
     rho = res.rho.mat
-    pvec = np.diag(parity_op(fock, 1).mat.toarray()).real
+    pvec = parity_op(fock, 1).diagonal().real
     evals, evecs = np.linalg.eigh(rho)
     best = None
     for k in range(len(evals) - 1, -1, -1):

@@ -25,7 +25,7 @@ def _record(run, n_sites, report=None):
     for an exact point."""
     res = run.result
     body = {
-        "parity": parity_expectation(res.rho, run.parity_op),
+        "parity": parity_expectation(res.rho, run.parity),
         "entropy": von_neumann_entropy(res.rho),
         "n_per_site": expectation(res.rho, run.n_op).real / n_sites,
         "method": res.method,

@@ -256,8 +256,7 @@ def test_criterion_8_symmetry_properties(record_criterion):
                      if "[rho,Pi]" in c["name"])
     n_states = 0
     for tag, rho, pi in STEADY_STATES:
-        m = rho.mat if hasattr(rho, "mat") else rho
-        p = pi.to_dense() if hasattr(pi, "to_dense") else np.asarray(pi)
+        m, p = rho.mat, pi.toarray()
         comm = np.max(np.abs(m @ p - p @ m))
         worst_comm = max(worst_comm, float(comm))
         par = parity_expectation(rho, pi)

@@ -58,6 +58,14 @@ def test_unknown_solver_field_exits_2(tmp_path, capsys):
     assert "unknown field 'solver.bogus'" in capsys.readouterr().err
 
 
+def test_mistyped_config_value_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(MINI, corner={"m_list": 5})))
+    rc = main(["solve", "-c", str(bad)])
+    assert rc == 2
+    assert "corner.m_list must be a list of integers" in capsys.readouterr().err
+
+
 def test_unknown_preset_exits_2(capsys):
     rc = main(["solve", "-p", "fig9"])
     assert rc == 2

@@ -57,6 +57,38 @@ def test_unknown_solver_and_corner_fields_are_config_errors():
         "unknown field 'solver.time_t_final'", "unknown field 'solver.tol'"]
 
 
+@pytest.mark.parametrize("extra, problem", [
+    ({"solver": 5}, "solver must be an object"),
+    ({"corner": {"m_list": 5}}, "corner.m_list must be a list of integers"),
+    ({"corner": {"m_list": [8.5]}}, "corner.m_list must be a list of integers"),
+    ({"solver": {"exact_dim_cap": "big"}},
+     "solver.exact_dim_cap must be an integer"),
+    ({"corner": {"drift_tol": "x"}}, "corner.drift_tol must be a number"),
+    ({"n_max": 2.7}, "n_max must be an integer"),
+    ({"resonant_convention": "no"}, "resonant_convention must be true or false"),
+], ids=["solver_scalar", "m_list_scalar", "m_list_float", "dim_cap_string",
+        "drift_tol_string", "n_max_float", "convention_string"])
+def test_value_types_are_config_errors(extra, problem):
+    # a wrong JSON type is one complaint naming the field, not a TypeError
+    # later or a silent cast (n_max 2.7 would run at 2, and the string "no"
+    # would switch the resonant convention on)
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(dict(MINIMAL, **extra))
+    assert err.value.problems == [problem]
+
+
+def test_eta_and_delta_rejected_under_resonant_convention():
+    # the convention derives eta = gamma and delta = -|J|; a config that
+    # also gives them would otherwise run with neither
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(dict(MINIMAL, eta=0.5, delta=3.0))
+    assert err.value.problems == [
+        "eta cannot be set while resonant_convention is on",
+        "delta cannot be set while resonant_convention is on"]
+    cfg = RunConfig.from_dict(dict(MINIMAL, eta=None, delta=None))
+    assert cfg.config_hash() == RunConfig.from_dict(MINIMAL).config_hash()
+
+
 def test_leaf_sites_max_must_be_positive():
     # leaf_sites_max 0 would make every corner point recurse without end
     with pytest.raises(ConfigError) as err:

@@ -137,7 +137,7 @@ def test_corner_full_m_matches_exact_two_site():
     jumps = build_jump_operators(p, geom, f)
     pi = parity_op(f, 2)
     exact = steady_state_eigen(vectorize_lindbladian(h, jumps),
-                                parity=pi.mat.diagonal().real)
+                                parity=pi.diagonal().real)
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     d_s = abs(von_neumann_entropy(run.result.rho)
@@ -158,7 +158,7 @@ def test_corner_full_m_matches_exact_2x2_torus_from_single_sites():
     pi = parity_op(f, 4)
     exact = steady_state_direct(build_hamiltonian(p, geom, f),
                                 build_jump_operators(p, geom, f),
-                                parity=pi.mat.diagonal().real)
+                                parity=pi.diagonal().real)
     s = von_neumann_entropy(exact.rho)
     assert s > 0.1
     assert abs(parity_expectation(run.result.rho, run.parity_op)
@@ -202,14 +202,14 @@ def test_leaf_is_the_lattice_hamiltonian(monkeypatch):
         run = corner_steady_state(geom, p, f, f.dim ** n, leaf_sites_max=n)
         (h, jumps, parity), = seen
         seen.clear()
-        assert np.array_equal(h, build_hamiltonian(p, geom, f).to_dense())
+        assert np.array_equal(h, build_hamiltonian(p, geom, f).toarray())
         ref = build_jump_operators(p, geom, f)
         assert len(jumps) == len(ref) == 2 * n
         for g, r in zip(jumps, ref):
             assert sp.issparse(g) == (f.dim ** n > corner.DENSE_LEAF_DIM)
             assert np.array_equal(g.toarray() if sp.issparse(g) else g,
-                                  r.to_dense())
-        assert np.array_equal(parity, parity_op(f, n).mat.diagonal().real)
+                                  r.toarray())
+        assert np.array_equal(parity, parity_op(f, n).diagonal().real)
         assert np.array_equal(run.n_op.diagonal(),
                               total_number_diagonal(f, n))
         assert run.result.method == "direct" and run.steps == []
@@ -219,7 +219,7 @@ def full_m_corner_with_exact_spectrum(monkeypatch, geom, p, f):
     """Corner run at full M whose final Hamiltonian has the exact spectrum."""
     seen = solved_blocks(monkeypatch)
     run = corner_steady_state(geom, p, f, f.dim ** geom.n_sites)
-    h = build_hamiltonian(p, geom, f).to_dense()
+    h = build_hamiltonian(p, geom, f).toarray()
     assert np.abs(np.linalg.eigvalsh(seen[-1][0])
                   - np.linalg.eigvalsh(h)).max() < 1e-10
     return run
@@ -238,7 +238,7 @@ def test_full_m_corner_closes_periodic_axes(monkeypatch, geom):
     pi = parity_op(f, geom.n_sites)
     exact = steady_state_eigen(vectorize_lindbladian(
         build_hamiltonian(p, geom, f), build_jump_operators(p, geom, f)),
-        parity=pi.mat.diagonal().real)
+        parity=pi.diagonal().real)
     assert abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi)) < 1e-8
     assert abs(von_neumann_entropy(run.result.rho)
@@ -307,7 +307,7 @@ def test_truncated_corner_tracks_exact_three_site():
     jumps = build_jump_operators(p, geom, f)
     pi = parity_op(f, 3)
     exact = steady_state_eigen(vectorize_lindbladian(h, jumps),
-                                parity=pi.mat.diagonal().real)
+                                parity=pi.diagonal().real)
     d_pi = abs(parity_expectation(run.result.rho, run.parity_op)
                - parity_expectation(exact.rho, pi))
     assert d_pi < 2e-3

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ def test_fock_space_dim():
 
 def test_annihilation_matrix_elements():
     f = FockSpace(4)
-    a = annihilation_op(f).mat.toarray()
+    a = annihilation_op(f).toarray()
     for n in range(1, 5):
         assert a[n - 1, n] == pytest.approx(np.sqrt(n))
     assert np.count_nonzero(a) == 4
@@ -25,7 +26,7 @@ def test_annihilation_matrix_elements():
 def test_commutator_on_truncated_space():
     # [a, a^dag] = 1 except in the top Fock level, which the truncation eats
     f = FockSpace(7)
-    a = annihilation_op(f).mat.toarray()
+    a = annihilation_op(f).toarray()
     comm = a @ a.conj().T - a.conj().T @ a
     assert np.allclose(np.diag(comm)[:-1], 1.0)
     assert np.diag(comm)[-1] == pytest.approx(-7.0)
@@ -33,21 +34,21 @@ def test_commutator_on_truncated_space():
 
 def test_number_op_diagonal():
     f = FockSpace(6)
-    n = number_op(f).mat.toarray()
+    n = number_op(f).toarray()
     assert np.allclose(np.diag(n), np.arange(7))
     assert np.count_nonzero(n - np.diag(np.diag(n))) == 0
 
 
 def test_parity_diagonal_and_involution():
     f = FockSpace(5)
-    p = parity_op(f, 1).mat.toarray()
+    p = parity_op(f, 1).toarray()
     assert np.allclose(np.diag(p), [1, -1, 1, -1, 1, -1])
     assert np.allclose(p @ p, np.eye(6))
 
 
 def test_parity_multisite_involution():
     f = FockSpace(2)
-    p = parity_op(f, 3).mat.toarray()
+    p = parity_op(f, 3).toarray()
     assert np.allclose(p @ p, np.eye(27))
     n_tot = total_number_diagonal(f, 3)
     assert np.allclose(np.diag(p), (-1.0) ** n_tot)
@@ -57,8 +58,8 @@ def test_embed_site_op_matches_kron():
     f = FockSpace(2)
     a = annihilation_op(f)
     eye = np.eye(f.dim)
-    a2 = embed_site_op(a, 1, 3).mat.toarray()
-    ref = np.kron(np.kron(eye, a.mat.toarray()), eye)
+    a2 = embed_site_op(a, 1, 3).toarray()
+    ref = np.kron(np.kron(eye, a.toarray()), eye)
     assert np.allclose(a2, ref)
 
 
@@ -66,8 +67,8 @@ def test_embed_site_op_matches_kron():
 @given(st.integers(0, 2), st.integers(0, 2))
 def test_embedded_ops_on_distinct_sites_commute(i, j):
     f = FockSpace(2)
-    a_i = embed_site_op(annihilation_op(f), i, 3).mat
-    n_j = embed_site_op(number_op(f), j, 3).mat
+    a_i = embed_site_op(annihilation_op(f), i, 3)
+    n_j = embed_site_op(number_op(f), j, 3)
     comm = (a_i @ n_j - n_j @ a_i)
     if i == j:
         assert abs(comm).max() > 0
@@ -81,14 +82,14 @@ def test_total_number_diagonal_values():
     assert np.allclose(d, [0, 1, 1, 2])
 
 
-def test_dagger_and_hermitian_flag():
+def test_single_site_ops_are_complex_csr():
     f = FockSpace(3)
-    a = annihilation_op(f)
-    assert not a.hermitian
-    n = number_op(f)
-    assert n.hermitian
-    ad = a.dagger()
-    assert np.allclose(ad.mat.toarray(), a.mat.toarray().conj().T)
+    for op in (annihilation_op(f), number_op(f), identity_op(4),
+               parity_op(f, 2), embed_site_op(annihilation_op(f), 1, 2)):
+        assert isinstance(op, sp.csr_matrix) and op.dtype == np.complex128
+    a, n = annihilation_op(f).toarray(), number_op(f).toarray()
+    assert np.abs(a - a.conj().T).max() > 0
+    assert np.array_equal(n, n.conj().T)
 
 
 def test_dimension_cap():
@@ -98,4 +99,4 @@ def test_dimension_cap():
 
 
 def test_identity_op():
-    assert np.allclose(identity_op(5).mat.toarray(), np.eye(5))
+    assert np.allclose(identity_op(5).toarray(), np.eye(5))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from catlattice.fock import FockSpace
 from catlattice.lattice import (ModelParams, build_hamiltonian,
@@ -69,18 +70,23 @@ def test_resonant_convention():
     assert not q.is_resonant_convention()
 
 
-def test_hamiltonian_hermitian():
-    f = FockSpace(3)
-    p = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.5)
-    h = build_hamiltonian(p, chain(3), f).mat.toarray()
-    assert np.allclose(h, h.conj().T)
+@pytest.mark.parametrize("geom, n_max, g", [
+    (chain(3), 3, 1.5), (rectangle(2, 2), 3, 1.5), (rectangle(2, 3), 2, 1.5),
+    (chain(3), 3, 1.5 - 0.8j)],
+    ids=["ring3", "torus2x2", "torus2x3", "complex_g"])
+def test_hamiltonian_hermitian(geom, n_max, g):
+    # the builder returns complex CSR with max|H - H^dag| <= 1e-12 max|H|
+    p = ModelParams.resonant(u=40.0, j_hop=20.0, g=g)
+    h = build_hamiltonian(p, geom, FockSpace(n_max))
+    assert isinstance(h, sp.csr_matrix) and h.dtype == np.complex128
+    assert abs(h - h.conj().T).max() <= 1e-12 * abs(h).max()
 
 
 def test_hamiltonian_single_site_values():
     # H = -delta n + (U/2) a+^2 a^2 + (G/2)(a+^2 + a^2) on the Fock basis
     f = FockSpace(3)
     p = ModelParams(delta=-2.0, u=6.0, g=1.0, j_hop=0.0)
-    h = build_hamiltonian(p, chain(1), f).mat.toarray()
+    h = build_hamiltonian(p, chain(1), f).toarray()
     n = np.arange(4)
     assert np.allclose(np.diag(h), 2.0 * n + 3.0 * n * (n - 1))
     assert h[0, 2] == pytest.approx(0.5 * np.sqrt(2.0))
@@ -92,8 +98,8 @@ def test_hopping_prefactor_dimension_split():
     # prefactor halves the 2D hopping matrix element
     f = FockSpace(2)
     p = ModelParams(delta=-1.0, u=0.0, g=0.0, j_hop=4.0)
-    h1 = build_hamiltonian(p, chain(2), f).mat.toarray()
-    h2 = build_hamiltonian(p, rectangle(2, 2), f).mat.toarray()
+    h1 = build_hamiltonian(p, chain(2), f).toarray()
+    h2 = build_hamiltonian(p, rectangle(2, 2), f).toarray()
     # <10|H|01> on the ring: -(J/2)*weight(2) = -4
     i10 = 1 * f.dim + 0
     i01 = 0 * f.dim + 1
@@ -115,7 +121,7 @@ def test_jump_scaling_values():
     f = FockSpace(2)
     p = ModelParams(delta=0.0, u=0.0, g=0.0, j_hop=0.0, gamma=4.0, eta=9.0)
     jumps = build_jump_operators(p, chain(1), f)
-    a = jumps[0].mat.toarray()
-    a2 = jumps[1].mat.toarray()
+    a = jumps[0].toarray()
+    a2 = jumps[1].toarray()
     assert a[0, 1] == pytest.approx(2.0)               # sqrt(4) * sqrt(1)
     assert a2[0, 2] == pytest.approx(3.0 * np.sqrt(2))  # sqrt(9) * sqrt(2)

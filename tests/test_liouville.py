@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from catlattice.fock import (FockSpace, SparseOperator, annihilation_op,
-                             parity_op)
+from catlattice.fock import FockSpace, annihilation_op, parity_op
 from catlattice.lattice import (ModelParams, build_hamiltonian,
                                 build_jump_operators, chain)
 from catlattice.liouville import (DensityMatrix, solve_steady_state,
@@ -16,19 +15,19 @@ from catlattice.observables import trace_distance
 def _random_lindblad(dim, n_jumps, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    H = SparseOperator(sp.csr_matrix(0.5 * (m + m.conj().T)), hermitian=True)
+    H = sp.csr_matrix(0.5 * (m + m.conj().T))
     jumps = []
     for _ in range(n_jumps):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        jumps.append(SparseOperator(sp.csr_matrix(0.4 * g)))
+        jumps.append(sp.csr_matrix(0.4 * g))
     return H, jumps
 
 
 def _master_rhs(H, jumps, rho):
-    h = H.mat.toarray()
+    h = H.toarray()
     out = -1j * (h @ rho - rho @ h)
     for j in jumps:
-        g = j.mat.toarray()
+        g = j.toarray()
         gd = g.conj().T
         out += g @ rho @ gd - 0.5 * (gd @ g @ rho + rho @ gd @ g)
     return out
@@ -62,12 +61,11 @@ def test_driven_cavity_coherent_steady_state():
     f = FockSpace(12)
     eps, gamma = 0.2, 1.0
     a = annihilation_op(f)
-    h = eps * (a.mat + a.mat.conj().T)
-    H = SparseOperator(sp.csr_matrix(h), hermitian=True)
-    jumps = [SparseOperator(np.sqrt(gamma) * a.mat)]
+    H = eps * (a + a.conj().T)
+    jumps = [np.sqrt(gamma) * a]
     res = steady_state_direct(H, jumps)
     alpha = -2j * eps / gamma
-    a_mean = complex((a.mat.toarray() @ res.rho.mat).trace())
+    a_mean = complex((a.toarray() @ res.rho.mat).trace())
     assert abs(a_mean - alpha) < 1e-8
     purity = float(np.real((res.rho.mat @ res.rho.mat).trace()))
     assert purity > 1.0 - 1e-8
@@ -104,12 +102,9 @@ def test_degenerate_kernel_flagged():
     # degenerate and eigen must say so instead of silently picking a vector
     f = FockSpace(7)
     a = annihilation_op(f)
-    a2 = SparseOperator(a.mat @ a.mat)
-    h = SparseOperator(sp.csr_matrix((f.dim, f.dim), dtype=complex),
-                       hermitian=True)
-    liou = vectorize_lindbladian(h, [a2])
-    pi = parity_op(f, 1)
-    res = steady_state_eigen(liou, parity=pi.mat.diagonal().real)
+    h = sp.csr_matrix((f.dim, f.dim), dtype=complex)
+    liou = vectorize_lindbladian(h, [a @ a])
+    res = steady_state_eigen(liou, parity=parity_op(f, 1).diagonal().real)
     assert "DEGENERATE" in res.flags
     res.rho.validate()
 
@@ -175,13 +170,13 @@ def test_three_ring_beyond_sparse_lu_reach():
     p = ModelParams.resonant(u=100.0, j_hop=50.0, g=2.0)
     h = build_hamiltonian(p, geom, f)
     jumps = build_jump_operators(p, geom, f)
-    pi = parity_op(f, 3).mat.toarray()
+    pi = parity_op(f, 3).toarray()
     res = solve_steady_state(h, jumps, parity=np.diag(pi).real)
     rho = res.rho.mat
     assert rho.shape == (125, 125)
     assert res.method == "direct" and "HIGH_RESIDUAL" not in res.flags
-    scale = 2.0 * np.linalg.norm(h.mat.toarray(), 2) + 2.0 * sum(
-        np.linalg.norm(j.mat.toarray(), 2) ** 2 for j in jumps)
+    scale = 2.0 * np.linalg.norm(h.toarray(), 2) + 2.0 * sum(
+        np.linalg.norm(j.toarray(), 2) ** 2 for j in jumps)
     assert np.linalg.norm(_master_rhs(h, jumps, rho)) \
         <= 1e-10 * scale * np.linalg.norm(rho)
     assert abs(rho.trace() - 1.0) < 1e-12

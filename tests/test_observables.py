@@ -30,6 +30,19 @@ def test_parity_dimension_mismatch():
         parity_expectation(_fock_state(6, 0), parity_op(f, 2))
 
 
+def test_parity_vector_matches_operator():
+    # <Pi> from the +-1 diagonal, as sweep records take it, equals Tr(rho Pi)
+    rng = np.random.default_rng(5)
+    f = FockSpace(2)
+    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    rho = DensityMatrix((m @ m.conj().T) / np.trace(m @ m.conj().T))
+    pi = parity_op(f, 2)
+    assert abs(parity_expectation(rho, pi.diagonal().real)
+               - parity_expectation(rho, pi)) <= 1e-14
+    with pytest.raises(ValueError):
+        parity_expectation(rho, parity_op(f, 1).diagonal().real)
+
+
 def test_entropy_pure_and_mixed():
     assert von_neumann_entropy(_fock_state(4, 2)) == pytest.approx(0.0)
     m = np.eye(4) / 4.0

@@ -110,7 +110,7 @@ def test_xy_hamiltonian_ferromagnetic_limit():
     p = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.0)
     alpha = np.sqrt(10.0)
     c = SpinModelCoefficients.from_params(alpha, p, chain(3))
-    h = build_xy_hamiltonian(c, chain(3)).mat.toarray()
+    h = build_xy_hamiltonian(c, chain(3)).toarray()
     w, v = np.linalg.eigh(h)
     xp = np.array([1.0, 1.0]) / np.sqrt(2.0)
     xm = np.array([1.0, -1.0]) / np.sqrt(2.0)

@@ -100,7 +100,7 @@ def test_n_per_site_is_the_mean_site_density(tmp_path):
     params = cfg.model_params(2.0)
     rho = steady_state_direct(build_hamiltonian(params, geom, f),
                               build_jump_operators(params, geom, f),
-                              parity=parity_op(f, 3).mat.diagonal().real).rho
+                              parity=parity_op(f, 3).diagonal().real).rho
     ref = np.mean(site_density(rho, [embed_site_op(number_op(f), j, 3)
                                      for j in range(3)]))
     assert ref > 0.01                    # the drive populates the ring
@@ -136,7 +136,7 @@ def test_exact_record_is_the_full_space_kernel(tmp_path, size, n_max):
     pi = parity_op(f, geom.n_sites)
     res = steady_state_direct(build_hamiltonian(params, geom, f),
                               build_jump_operators(params, geom, f),
-                              parity=pi.mat.diagonal().real)
+                              parity=pi.diagonal().real)
     n_op = sp.diags(total_number_diagonal(f, geom.n_sites))
     ref = {"parity": parity_expectation(res.rho, pi),
            "entropy": von_neumann_entropy(res.rho),
