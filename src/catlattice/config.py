@@ -18,16 +18,25 @@ ENV_OUTPUT_DIR = "CATLATTICE_OUTDIR"
 
 _SOLVER_METHODS = ("auto", "direct", "corner")
 _KINDS = {int: "an integer", float: "a number", str: "a string",
-          bool: "true or false", list: "a list of integers"}
+          bool: "true or false"}
+_LISTS = {int: "a list of integers", float: "a list of numbers"}
 
 
 def _fits(value, default):
-    """Whether a JSON value has the type of a field's default."""
+    """Whether a JSON value has the type of a field's default; a list
+    default's first entry, if any, is the type of every entry."""
     if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(v, 0) for v in value)
+        return isinstance(value, list) and (
+            not default or all(_fits(v, default[0]) for v in value))
     kind = (int, float) if isinstance(default, float) else type(default)
     return (isinstance(value, kind)
             and isinstance(value, bool) == isinstance(default, bool))
+
+
+def _kind(default):
+    if isinstance(default, list):
+        return _LISTS[type(default[0])] if default else "a list"
+    return _KINDS[type(default)]
 
 
 @dataclass
@@ -76,7 +85,8 @@ class RunConfig:
             if key not in known:
                 errors.append("unknown field '%s'" % key)
         typed = [(key, d[key], default) for key, default in (
-            ("u", 0.0), ("j_hop", 0.0), ("n_max", 0), ("gamma", 0.0),
+            ("label", ""), ("u", 0.0), ("j_hop", 0.0), ("sizes", []),
+            ("n_max", 0), ("g_values", [0.0]), ("gamma", 0.0),
             ("eta", 0.0), ("delta", 0.0), ("resonant_convention", True))
             if key in d and not (d[key] is None and key in ("eta", "delta"))]
         for name, sub in (("solver", SolverConfig), ("corner", CornerConfig)):
@@ -89,7 +99,7 @@ class RunConfig:
                        for key in given if key not in defaults]
             typed += [("%s.%s" % (name, key), value, defaults[key])
                       for key, value in given.items() if key in defaults]
-        errors += ["%s must be %s" % (key, _KINDS[type(default)])
+        errors += ["%s must be %s" % (key, _kind(default))
                    for key, value, default in typed
                    if not _fits(value, default)]
         if errors:
@@ -98,7 +108,7 @@ class RunConfig:
         solver = SolverConfig(**d.get("solver", {}))
         corner = CornerConfig(**d.get("corner", {}))
         cfg = cls(
-            label=str(d["label"]),
+            label=d["label"],
             u=float(d["u"]),
             j_hop=float(d["j_hop"]),
             sizes=list(d["sizes"]),

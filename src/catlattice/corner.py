@@ -20,13 +20,15 @@ leaf's is diagonal, a merge projects N_A (x) I + I (x) N_B.
 Every block, leaf or merged, is solved by one steady-state kernel
 (liouville.steady_state_direct); the exact route is the run whose one leaf
 is the whole lattice (see corner_steady_state).  The kernel runs GMRES on
-L(rho) applied as M x M matmuls, preconditioned by its Sylvester part
-inverted on the diagonal of the Schur form of H_eff.  An iteration costs
-O(K M^3) for K jump operators and the solve needs O(M^2) memory; the dense
-M^2 x M^2 superoperator is never built.  A corner run of the 2x2 torus at
-Fock cutoff 4 (K = 8, one BLAS thread, 2-vCPU Xeon) takes 0.07 s of CPU at
-M = 64, 0.38 s at M = 128 and 2.5 s at M = 256, peaking at 92, 108 and
-171 MB of process memory.
+L(rho) with rho kept as its two parity-sector blocks (every corner state
+has a definite parity, below), preconditioned by its Sylvester part
+inverted on the diagonal of the Schur form of each sector's H_eff.  An
+iteration costs O(K (Me^3 + Mo^3)) for K jump operators and Me + Mo = M
+states, and the solve needs O(Me^2 + Mo^2) memory; the dense M^2 x M^2
+superoperator is never built.  A corner run of the 2x2 torus at Fock
+cutoff 4 (K = 8, one BLAS thread, 2-vCPU Xeon) takes 0.03 s of CPU at
+M = 64, 0.15 s at M = 128 and 0.9 s at M = 256, peaking at 88, 99 and
+133 MB of process memory (BENCH_sector_kernel.json).
 
 Conventions that matter for correctness:
 

@@ -7,10 +7,17 @@ The master equation d rho/dt = L[rho] reads
 
 steady_state_direct is the steady-state kernel of every corner block
 (catlattice.corner), the whole-lattice leaf of the exact route among them:
-GMRES on L(rho) = 0 at unit trace, with L applied as D x D matmuls and a
-Schur-diagonal Sylvester preconditioner.  An iteration costs O(K D^3) for K
-jump operators and the solve holds O(D^2) memory; the D^2 x D^2
-superoperator is never formed.
+GMRES on L(rho) = 0 at unit trace, with a Schur-diagonal Sylvester
+preconditioner.  H_eff and a_j^2 keep photon-number parity and a_j flips
+it, so the steady state is block-diagonal in the two parity sectors; rho
+is stored and iterated as those two blocks, De^2 + Do^2 entries instead of
+D^2, and a parity that H or a jump breaks is a ValueError.  Jumps are
+applied in the form they are given: dense ones as batched matmuls on their
+sector blocks, scipy sparse ones as sparse x dense products, never
+densified.  An iteration costs O((De^3 + Do^3) + nnz D) with sparse jumps,
+O(K (De^3 + Do^3)) with K dense ones, and the solve holds O(De^2 + Do^2)
+memory; the D^2 x D^2 superoperator is never formed.  Without a parity
+vector the kernel runs the same code on one sector of all D states.
 
 The two independent oracles do build it, vectorized with row-major (C-order)
 stacking, vec(rho)[i*D + j] = rho[i, j], under which
@@ -104,10 +111,6 @@ def vectorize_lindbladian(H, jumps):
     return Liouvillian(sup=L.tocsr(), dim=D, jumps=tuple(jumps))
 
 
-def _as_dense(op):
-    return op.toarray() if sp.issparse(op) else np.asarray(op, dtype=complex)
-
-
 def _finalize(x, D):
     rho = x.reshape(D, D)
     rho = 0.5 * (rho + rho.conj().T)
@@ -125,85 +128,167 @@ def _residual(liou, rho):
     return float(np.linalg.norm(liou.sup @ rho.reshape(-1)))
 
 
+def _sector_blocks(op, order, cuts):
+    """{(s, t): block of op from sector t to sector s} in op's own form,
+    CSR or dense, for the sectors op[order][:, order] holds between cuts."""
+    if sp.issparse(op):
+        op = sp.csr_matrix(op, dtype=complex)[order][:, order]
+    else:
+        op = np.asarray(op, dtype=complex).take(order, 0).take(order, 1)
+    return {(s, t): op[a:b, c:d] for s, (a, b) in enumerate(cuts)
+            for t, (c, d) in enumerate(cuts)}
+
+
+def _nonzero(block):
+    return block.count_nonzero() > 0 if sp.issparse(block) else block.any()
+
+
+def _dense(block):
+    return block.toarray() if sp.issparse(block) else block
+
+
+def _sector_split(H, jumps, sectors):
+    """H's diagonal sector blocks, dense, and the jumps' nonzero sector
+    blocks as (s, t, stack of the dense ones, list of the sparse ones) for
+    each pair of sectors a jump takes t to s.  Raises ValueError when H
+    couples two sectors or a jump both keeps and flips the sector."""
+    order = np.concatenate(sectors)
+    dims = [i.size for i in sectors]
+    ends = np.cumsum(dims)
+    cuts = list(zip(ends - dims, ends))
+    hb = _sector_blocks(H, order, cuts)
+    if any(s != t and _nonzero(x) for (s, t), x in hb.items()):
+        raise ValueError("H couples states of opposite parity")
+    links = {}
+    for k, g in enumerate(jumps):
+        if g.shape != H.shape:
+            raise ValueError("jump dimension does not match H (%d)"
+                             % H.shape[0])
+        nz = {st: x for st, x in _sector_blocks(g, order, cuts).items()
+              if _nonzero(x)}
+        if len({s == t for s, t in nz}) > 1:
+            raise ValueError("jump %d both keeps and flips parity" % k)
+        for st, x in nz.items():
+            links.setdefault(st, []).append(x)
+    return ([_dense(hb[s, s]) for s in range(len(sectors))],
+            [(s, t, np.array([x for x in xs if not sp.issparse(x)],
+                             dtype=complex).reshape(-1, dims[s], dims[t]),
+              [x for x in xs if sp.issparse(x)])
+             for (s, t), xs in links.items()])
+
+
 def steady_state_direct(H, jumps, parity=None):
     """Steady state of H and jumps by preconditioned GMRES, matrix-free.
 
     H and the jumps are scipy sparse matrices or dense arrays; parity is
-    the +-1 photon-number parity of each basis state.  Solves L(rho) +
-    w tr(rho) I = w I with L(rho) as in the module docstring, applied as
-    D x D matmuls: O(K D^3) per application and O(D^2) memory.
+    the +-1 photon-number parity of each basis state (None: one sector of
+    every state).  H_eff and a_j^2 keep the parity of a state and a_j flips
+    it, so the steady state is block-diagonal in the parity sectors, and rho
+    is stored and iterated as its sector blocks: GMRES vectors hold De^2 +
+    Do^2 entries, not D^2.  A parity vector that H couples across, or a jump
+    that both keeps and flips, raises ValueError before any iteration.  Each
+    jump keeps only its nonzero sector blocks, in the form it was handed
+    over: dense blocks are applied as batched matmuls, sparse ones as
+    sparse x dense products, never densified.
 
-    The preconditioner inverts the Sylvester part S(rho) = -i (H_eff rho -
-    rho H_eff^dag) on the diagonal lam of the Schur form H_eff = U T U^dag,
-    as U (U^dag (i R) U / (lam_i - lam_j^*)) U^dag, with a Sherman-Morrison
-    term for w tr(rho) I; GMRES handles the rest of T, whose share
-    ||strict_upper(T)||_F / ||T||_F is diagnostics["nonnormality"].  S is
-    damped by sigma = 1e-3 of the mean decay rate: a dark state of H_eff (a
-    real eigenvalue, such as an undriven vacuum) makes S singular and stalls
-    GMRES on an already accurate state.
+    Solves L(rho) + w tr(rho) I = w I with L(rho) as in the module
+    docstring.  The preconditioner inverts the Sylvester part S(rho) = -i
+    (H_eff rho - rho H_eff^dag) sector by sector on the diagonal lam of the
+    Schur form H_eff = U T U^dag, as U (U^dag (i R) U / (lam_i - lam_j^*))
+    U^dag, with a Sherman-Morrison term for w tr(rho) I; GMRES handles the
+    rest of T, whose share ||strict_upper(T)||_F / ||T||_F, pooled over the
+    sectors, is diagnostics["nonnormality"].  S is damped by sigma = 1e-3
+    of the mean decay rate: a dark state of H_eff (a real eigenvalue, such
+    as an undriven vacuum) makes S singular and stalls GMRES on an already
+    accurate state.
 
-    With a parity vector, a state whose commutator with Pi = diag(parity)
-    exceeds 1e-10 is replaced by its parity-symmetric part (rho + Pi rho
-    Pi) / 2.  The solve is judged by the true residual ||L(rho)||_F of the
-    returned state against RESIDUAL_TOL times the operator scale
-    2 ||H_eff||_F + sum_k ||g_k||_F^2, not by GMRES's exit code; a miss is
-    flagged HIGH_RESIDUAL.  The result's residual is the absolute
-    ||L(rho)||_F and its iterations the GMRES count.  Its method is
-    "direct", the name of the full-space route in sweep records, although
-    nothing is factorized.  A 1 x 1 system has the one state [[1]].  A
-    larger one without a nonzero jump raises ValueError: then every
-    function of H is steady and the steady state is not unique.
+    The solve is judged by the true residual ||L(rho)||_F of the returned
+    state (L of a block-diagonal rho has no cross-sector blocks) against
+    RESIDUAL_TOL times the operator scale 2 ||H_eff||_F + sum_k ||g_k||_F^2,
+    not by GMRES's exit code; a miss is flagged HIGH_RESIDUAL.  The
+    result's residual is the absolute ||L(rho)||_F and its iterations the
+    GMRES count.  Its method is "direct", the name of the full-space route
+    in sweep records, although nothing is factorized.  A 1 x 1 system has
+    the one state [[1]].  A larger one without a nonzero jump raises
+    ValueError: then every function of H is steady and the steady state is
+    not unique.
     """
     t0 = time.time()
-    h = _as_dense(H)
-    m = h.shape[0]
+    m = H.shape[0]
     if m == 1:
         return SteadyStateResult(
             rho=DensityMatrix(np.ones((1, 1), dtype=complex)), residual=0.0,
             method="direct", diagnostics={"nonnormality": 0.0})
-    g = [_as_dense(j) for j in jumps]
-    if any(x.shape != h.shape for x in g):
-        raise ValueError("jump dimension does not match H (%d)" % m)
-    g = np.array(g, dtype=complex).reshape(-1, m, m)
-    if not np.any(g):
+    sectors = ([np.arange(m)] if parity is None else
+               [np.flatnonzero(np.asarray(parity) == s) for s in (1, -1)])
+    sectors = [i for i in sectors if i.size]
+    if sum(i.size for i in sectors) != m:
+        raise ValueError("parity must be +-1 on each of the %d states" % m)
+    heff, links = _sector_split(H, jumps, sectors)
+    if not links:
         raise ValueError("zero-jump Liouvillian: every function of H is "
                          "steady, no unique steady state")
-    gh = g.conj().transpose(0, 2, 1)
-    heff = h - 0.5j * (gh @ g).sum(axis=0)
-    heff_h = heff.conj().T
-    rates = float((np.abs(g) ** 2).sum())
-    scale = 2.0 * np.linalg.norm(heff) + rates
+    rates = 0.0
+    terms = []          # (s, t, dense stack, its adjoint, sparse pairs)
+    for s, t, g, sparse in links:
+        for x in [*g, *sparse]:   # block by block: both forms round alike
+            heff[t] = heff[t] - 0.5j * _dense(x.conj().T @ x)
+            rates += np.linalg.norm(x.data if sp.issparse(x) else x) ** 2
+        terms.append((s, t, g, g.conj().transpose(0, 2, 1),
+                      [(x, x.conj()) for x in sparse]))
+    scale = 2.0 * np.sqrt(sum(np.linalg.norm(x) ** 2 for x in heff)) + rates
     w = scale / m        # the trace term's eigenvalue w D is then ~ ||L||
     sigma = 1e-3 * rates / m
-    diag = np.arange(m) * (m + 1)
+    pre = []            # per sector: U, U^dag, i / (lam_i - lam_j^*)
+    upper = total = 0.0
+    for x in heff:
+        t, u = scipy.linalg.schur(x, output="complex")
+        upper += np.linalg.norm(np.triu(t, 1)) ** 2
+        total += np.linalg.norm(t) ** 2
+        lam = np.diag(t) - 0.5j * sigma       # S - sigma: H_eff - i sigma / 2
+        pre.append((u, u.conj().T, 1j / (lam[:, None] - lam.conj()[None, :])))
+    nonnormality = float(np.sqrt(upper / total))
+    gen = [-1j * x for x in heff]         # S(rho) = gen rho + rho gen^dag
+    gen_h = [x.conj().T for x in gen]
 
-    def lindblad(rho):
-        return -1j * (heff @ rho - rho @ heff_h) + (g @ rho @ gh).sum(axis=0)
+    dims = [i.size for i in sectors]
+    offs = np.cumsum([0] + [d * d for d in dims])
+    diag = np.concatenate([o + np.arange(d) * (d + 1)
+                           for o, d in zip(offs, dims)])
 
-    def matvec(x):
-        rho = x.reshape(m, m)
-        out = lindblad(rho).reshape(-1)
-        out[diag] += w * rho.trace()
+    def unpack(x):
+        return [x[a:b].reshape(d, d) for a, b, d in zip(offs, offs[1:], dims)]
+
+    def pack(blocks):
+        return np.concatenate([y.reshape(-1) for y in blocks])
+
+    def lindblad(rhos):
+        out = [x @ r + r @ xh for x, xh, r in zip(gen, gen_h, rhos)]
+        for s, t, g, gh, sparse in terms:
+            r = rhos[t]
+            out[s] += (g @ r @ gh).sum(axis=0)
+            for x, xc in sparse:             # x r x^dag = (x^* (x r)^T)^T
+                out[s] += (xc @ (x @ r).T).T
         return out
 
-    t, u = scipy.linalg.schur(heff, output="complex")
-    uh = u.conj().T
-    lam = np.diag(t) - 0.5j * sigma           # S - sigma: H_eff - i sigma / 2
-    den = lam[:, None] - lam.conj()[None, :]
-    nonnormality = float(np.linalg.norm(np.triu(t, 1)) / np.linalg.norm(t))
+    def matvec(x):
+        out = pack(lindblad(unpack(x)))
+        out[diag] += w * x[diag].sum()
+        return out
 
-    def sylvester_inv(r):
-        return u @ ((uh @ (1j * r) @ u) / den) @ uh
+    def sylvester_inv(rs):
+        return [u @ ((uh @ r @ u) * inv) @ uh
+                for (u, uh, inv), r in zip(pre, rs)]
 
-    z = sylvester_inv(np.eye(m, dtype=complex))
-    denom = 1.0 + w * z.trace()
+    z = pack(sylvester_inv([np.eye(d, dtype=complex) for d in dims]))
+    denom = 1.0 + w * z[diag].sum()
 
     def psolve(x):
-        y = sylvester_inv(x.reshape(m, m))
-        y -= z * (w * y.trace() / denom)
-        return y.reshape(-1)
+        y = pack(sylvester_inv(unpack(x)))
+        y -= z * (w * y[diag].sum() / denom)
+        return y
 
-    n = m * m
+    n = int(offs[-1])
     b = np.zeros(n, dtype=complex)
     b[diag] = w
     norms = []                # GMRES's preconditioned residual per iteration
@@ -216,12 +301,13 @@ def steady_state_direct(H, jumps, parity=None):
     x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * RESIDUAL_TOL, atol=0.0,
                       restart=40, maxiter=10, callback=norms.append,
                       callback_type="pr_norm")
-    rho = _finalize(x, m)
-    if parity is not None:
-        sym = _parity_symmetric(rho, parity)
-        if 2.0 * np.abs(rho - sym).max() > 1e-10:     # max|[rho, Pi]|
-            rho = _finalize(sym, m)
-    residual = float(np.linalg.norm(lindblad(rho)))
+    rhos = [0.5 * (r + r.conj().T) for r in unpack(x)]
+    trace = sum(r.trace().real for r in rhos)
+    rhos = [r / trace for r in rhos]
+    residual = float(np.linalg.norm(pack(lindblad(rhos))))
+    rho = np.zeros((m, m), dtype=complex)
+    for i, r in zip(sectors, rhos):
+        rho[np.ix_(i, i)] = r
     flags = () if residual <= RESIDUAL_TOL * scale else ("HIGH_RESIDUAL",)
     return SteadyStateResult(
         rho=DensityMatrix(rho), residual=residual, method="direct",

@@ -55,19 +55,32 @@ def available_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_exact_memory(dim, n_jumps):
-    """Raise MemoryError when an exact solve at dimension dim would not fit.
+def _exact_memory(fock, n_sites, n_jumps):
+    """Bytes an exact solve of n_sites sites with n_jumps jumps holds.
 
-    The kernel holds D x D complex matrices of 16 D^2 bytes: GMRES's 41
-    Krylov vectors (restart 40), four per jump operator (the jump, its
-    adjoint and two batched products) and about a dozen work arrays.
+    The kernel keeps rho as its two parity sectors, De and Do states, in
+    arrays of 16 (De^2 + Do^2) bytes: GMRES's 41 Krylov vectors (restart
+    40), seven per-sector Schur factors and preconditioner arrays and about
+    a dozen work arrays.  Two D x D arrays stay full size (the leaf's dense
+    H and the returned rho), and each jump (a_j or a_j^2, at most D
+    nonzeros) is held four times in sparse form at 20 bytes a nonzero.
     """
-    need = (41 + 4 * n_jumps + 12) * 16 * dim ** 2
+    dim = fock.dim ** n_sites
+    trace = 1 - fock.n_max % 2         # tr(Pi) = (sum_n (-1)^n)^n_sites
+    even, odd = (dim + trace) // 2, (dim - trace) // 2
+    return (16 * ((41 + 7 + 12) * (even ** 2 + odd ** 2) + 2 * dim ** 2)
+            + 4 * 20 * dim * n_jumps)
+
+
+def _check_exact_memory(fock, n_sites, n_jumps):
+    """Raise MemoryError when an exact solve would not fit in the memory
+    the OS reports available (see _exact_memory)."""
+    need = _exact_memory(fock, n_sites, n_jumps)
     have = available_memory()
     if need > have:
         raise MemoryError("exact solve at D=%d needs about %.1f GB of memory, "
-                          "%.1f GB available" % (dim, need / 2**30,
-                                                 have / 2**30))
+                          "%.1f GB available" % (fock.dim ** n_sites,
+                                                 need / 2**30, have / 2**30))
 
 
 def solve_point(cfg, geom, g):
@@ -90,7 +103,8 @@ def solve_point(cfg, geom, g):
         body = _record(run, geom.n_sites, report)
     else:
         # one-photon loss on every site, plus two-photon loss if eta > 0
-        _check_exact_memory(dim, geom.n_sites * (2 if params.eta > 0 else 1))
+        _check_exact_memory(fock, geom.n_sites,
+                            geom.n_sites * (2 if params.eta > 0 else 1))
         run = corner_steady_state(geom, params, fock, dim,
                                   leaf_sites_max=geom.n_sites)
         body = _record(run, geom.n_sites)

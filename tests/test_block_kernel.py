@@ -1,12 +1,14 @@
 """The matrix-free steady-state kernel against a dense np.kron oracle."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import catlattice.corner as corner
 import catlattice.liouville as liouville
 from catlattice.corner import convergence_sweep, corner_steady_state
-from catlattice.fock import FockSpace
-from catlattice.lattice import ModelParams, chain, rectangle
+from catlattice.fock import FockSpace, parity_op
+from catlattice.lattice import (ModelParams, build_hamiltonian,
+                                build_jump_operators, chain, rectangle)
 from catlattice.liouville import steady_state_direct
 
 DESK = dict(u=100.0, j_hop=50.0)
@@ -55,6 +57,26 @@ def random_lindbladian(m, n_jumps, seed):
     return h, jumps
 
 
+def random_parity_lindbladian(m, n_jumps, seed):
+    """H and jumps that conserve a random +-1 parity, and that parity.
+
+    H is block-diagonal in the two sectors; the first jump flips parity,
+    so the sectors are coupled, and each other jump keeps or flips it at
+    random.  The sectors are interleaved, not contiguous.
+    """
+    rng = np.random.default_rng(seed)
+    parity = rng.permutation(np.resize([1.0, -1.0], m))
+    same = parity[:, None] == parity[None, :]
+    x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    h = np.where(same, 0.5 * (x + x.conj().T), 0.0)
+    jumps = []
+    for k in range(n_jumps):
+        g = 0.4 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        flip = k == 0 or rng.random() < 0.5
+        jumps.append(np.where(same != flip, g, 0.0))
+    return h, jumps, parity
+
+
 def corner_blocks(monkeypatch, geom, params, fock, m):
     """(h, jumps, kernel result) of every block the corner run solves."""
     seen = []
@@ -83,6 +105,58 @@ def test_random_lindbladian_matches_kron_oracle(m, n_jumps, seed):
     # the reported residual is ||L(rho)||_F
     ref = np.linalg.norm(kron_liouvillian(h, jumps) @ rho.reshape(-1))
     assert out.residual == pytest.approx(ref, rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("m,n_jumps,seed", [(2, 1, 0), (5, 2, 1), (8, 3, 2),
+                                            (12, 4, 3)])
+def test_parity_sectors_match_kron_oracle(m, n_jumps, seed, form):
+    # rho is solved as its two sector blocks; the oracle solves the full
+    # D^2 x D^2 superoperator
+    h, jumps, parity = random_parity_lindbladian(m, n_jumps, seed)
+    given = jumps if form == "dense" else [sp.csr_matrix(g) for g in jumps]
+    out = steady_state_direct(h, given, parity=parity)
+    rho = out.rho.mat
+    assert "HIGH_RESIDUAL" not in out.flags and out.iterations > 0
+    assert np.abs(rho - dense_steady_state(h, jumps)).max() < 1e-10
+    assert np.all(rho[parity[:, None] != parity[None, :]] == 0.0)
+    ref = np.linalg.norm(kron_liouvillian(h, jumps) @ rho.reshape(-1))
+    assert out.residual == pytest.approx(ref, rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize("sectors", [True, False])
+def test_dense_and_sparse_jumps_give_one_state(sectors):
+    # the 3-ring at n_max 3 (D = 64): the builders' CSR operators against
+    # their dense copies, one path for both forms
+    params = ModelParams.resonant(g=2.0, **DESK)
+    geom, fock = chain(3), FockSpace(3)
+    h = build_hamiltonian(params, geom, fock)
+    jumps = build_jump_operators(params, geom, fock)
+    parity = parity_op(fock, 3).diagonal().real if sectors else None
+    sparse = steady_state_direct(h, jumps, parity=parity)
+    dense = steady_state_direct(h.toarray(), [g.toarray() for g in jumps],
+                                parity=parity)
+    assert not sparse.flags and not dense.flags
+    assert np.abs(sparse.rho.mat - dense.rho.mat).max() <= 1e-12
+    assert sparse.iterations == dense.iterations > 0
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_broken_parity_raises(form):
+    h, jumps, parity = random_parity_lindbladian(6, 2, 7)
+    cast = (lambda x: x) if form == "dense" else sp.csr_matrix
+    even, odd = np.flatnonzero(parity > 0)[0], np.flatnonzero(parity < 0)[0]
+    h_bad = h.copy()
+    h_bad[even, odd] = h_bad[odd, even] = 0.3
+    with pytest.raises(ValueError, match="couples states of opposite parity"):
+        steady_state_direct(cast(h_bad), [cast(g) for g in jumps],
+                            parity=parity)
+    mixed = jumps[0] + np.where(parity[:, None] == parity[None, :], 0.1, 0.0)
+    with pytest.raises(ValueError, match="jump 2 both keeps and flips"):
+        steady_state_direct(cast(h), [cast(g) for g in jumps + [mixed]],
+                            parity=parity)
+    with pytest.raises(ValueError, match="parity must be"):
+        steady_state_direct(h, jumps, parity=np.zeros(6))
 
 
 # at G = 1e-3 the leaf has three weights above the noise floor
@@ -148,16 +222,19 @@ def exceptional_point_lindbladian(m, seed):
 def test_kernel_solves_at_an_exceptional_point(m):
     # the eigenvectors of H_eff are parallel here, so a preconditioner in
     # its eigenbasis misses the residual bound; the unitary Schur basis must
-    # not
+    # not.  The model conserves the parity that is even on levels 0 and 1
+    # and odd on the rest, so with that parity the Jordan block sits in one
+    # sector
     h, jumps = exceptional_point_lindbladian(m, seed=5)
     heff = h - 0.5j * sum(g.conj().T @ g for g in jumps)
     lam = np.linalg.eigvals(heff[:2, :2])
     assert abs(lam[0] - lam[1]) < 1e-7
-    out = steady_state_direct(h, jumps)
-    assert "HIGH_RESIDUAL" not in out.flags
-    assert np.linalg.norm(lindblad_rhs(h, jumps, out.rho.mat)) \
-        <= 1e-10 * operator_scale(h, jumps)
-    assert out.diagnostics["nonnormality"] > 0.0
+    for parity in (None, np.where(np.arange(m) < 2, 1.0, -1.0)):
+        out = steady_state_direct(h, jumps, parity=parity)
+        assert "HIGH_RESIDUAL" not in out.flags
+        assert np.linalg.norm(lindblad_rhs(h, jumps, out.rho.mat)) \
+            <= 1e-10 * operator_scale(h, jumps)
+        assert out.diagnostics["nonnormality"] > 0.0
 
 
 def test_zero_jump_block_raises():

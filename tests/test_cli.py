@@ -66,6 +66,14 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys):
     assert "corner.m_list must be a list of integers" in capsys.readouterr().err
 
 
+def test_mistyped_sweep_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(MINI, g_values=2.0)))
+    rc = main(["solve", "-c", str(bad)])
+    assert rc == 2
+    assert "g_values must be a list of numbers" in capsys.readouterr().err
+
+
 def test_unknown_preset_exits_2(capsys):
     rc = main(["solve", "-p", "fig9"])
     assert rc == 2

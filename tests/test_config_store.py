@@ -66,12 +66,19 @@ def test_unknown_solver_and_corner_fields_are_config_errors():
     ({"corner": {"drift_tol": "x"}}, "corner.drift_tol must be a number"),
     ({"n_max": 2.7}, "n_max must be an integer"),
     ({"resonant_convention": "no"}, "resonant_convention must be true or false"),
+    ({"sizes": 5}, "sizes must be a list"),
+    ({"g_values": 2.0}, "g_values must be a list of numbers"),
+    ({"g_values": ["a"]}, "g_values must be a list of numbers"),
+    ({"g_values": [1.0, True]}, "g_values must be a list of numbers"),
+    ({"label": 5}, "label must be a string"),
 ], ids=["solver_scalar", "m_list_scalar", "m_list_float", "dim_cap_string",
-        "drift_tol_string", "n_max_float", "convention_string"])
+        "drift_tol_string", "n_max_float", "convention_string",
+        "sizes_scalar", "g_values_scalar", "g_values_string", "g_values_bool",
+        "label_int"])
 def test_value_types_are_config_errors(extra, problem):
     # a wrong JSON type is one complaint naming the field, not a TypeError
-    # later or a silent cast (n_max 2.7 would run at 2, and the string "no"
-    # would switch the resonant convention on)
+    # later or a silent cast (n_max 2.7 would run at 2, the string "no"
+    # would switch the resonant convention on, and label 5 would become "5")
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict(dict(MINIMAL, **extra))
     assert err.value.problems == [problem]

@@ -151,8 +151,20 @@ def test_exact_record_is_the_full_space_kernel(tmp_path, size, n_max):
     assert rec["flags"] == list(res.flags) == [] and rec["converged"]
 
 
+def test_exact_memory_budgets_parity_sectors():
+    # the 4-ring at n_max 4 (D = 625, K = 8): sectors of 313 and 312 states.
+    # A traced exact solve and record of that point peaks at 178 MB of
+    # arrays; the full-space estimate (41 + 4K + 12) x 16 D^2 was 531 MB
+    need = sweep._exact_memory(FockSpace(4), 4, 8)
+    assert need == 16 * (60 * (313**2 + 312**2) + 2 * 625**2) + 80 * 625 * 8
+    assert need == 200_400_480
+    # at odd n_max the sectors are equal: 128 and 128 states of D = 256
+    assert sweep._exact_memory(FockSpace(3), 4, 4) \
+        == 16 * (60 * 2 * 128**2 + 2 * 256**2) + 80 * 256 * 4
+
+
 def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
-    # a 4-ring at n_max 8 (D = 6561) would need about 58 GB; the pre-flight
+    # a 4-ring at n_max 8 (D = 6561) would need about 21 GB; the pre-flight
     # records it as failed before any operator is built, and the small point
     # still solves.  Available memory is pinned so that the outcome does not
     # depend on the host.
