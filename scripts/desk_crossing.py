@@ -62,7 +62,7 @@ def main():
                     xlabel="G/gamma", ylabel="parity * N^(beta/nu)")
     for label, (L, gs, par, _) in ds.curves().items():
         fig.add_series(gs, par * L ** (ds.beta / ds.nu),
-                       label="N=" + label, marker="auto")
+                       label="N=" + label)
     fig.add_vline(cr.g_c, label="G_c=%.2f" % cr.g_c)
     path = fig.write(os.path.join(outdir, "desk_crossing.svg"))
     print("figure: %s" % path)

@@ -102,20 +102,19 @@ def _figures(ds, result, outdir):
     fig = SvgFigure(title="entropy vs drive", xlabel="G/gamma",
                     ylabel="S")
     for label, (L, gs, _, ent) in curves.items():
-        fig.add_series(gs, ent, label=label, marker="auto")
+        fig.add_series(gs, ent, label=label)
     paths["entropy_svg"] = fig.write(os.path.join(outdir, "entropy_vs_g.svg"))
 
     fig = SvgFigure(title="parity vs drive", xlabel="G/gamma",
                     ylabel="parity")
     for label, (L, gs, par, _) in curves.items():
-        fig.add_series(gs, par, label=label, marker="auto")
+        fig.add_series(gs, par, label=label)
     paths["parity_svg"] = fig.write(os.path.join(outdir, "parity_vs_g.svg"))
 
     fig = SvgFigure(title="rescaled parity crossing", xlabel="G/gamma",
                     ylabel="parity * L^(beta/nu)")
     for label, (L, gs, par, _) in curves.items():
-        fig.add_series(gs, par * L ** (ds.beta / ds.nu), label=label,
-                       marker="auto")
+        fig.add_series(gs, par * L ** (ds.beta / ds.nu), label=label)
     fig.add_vline(result.g_c, label="G_c=%.3f" % result.g_c)
     paths["collapse_svg"] = fig.write(os.path.join(outdir, "collapse.svg"))
     return paths

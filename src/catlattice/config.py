@@ -72,6 +72,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(["a config is a JSON object, not %s"
+                               % type(d).__name__])
         errors = []
         required = ("label", "u", "j_hop", "sizes", "n_max", "g_values")
         for key in required:
@@ -127,8 +130,14 @@ class RunConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """The config in the JSON file at path; a file that cannot be read
+        or parsed is a ConfigError, as is any invalid content."""
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise ConfigError(["cannot read %s: %s" % (path, e)])
+        return cls.from_dict(d)
 
     def validate(self):
         errors = []
@@ -151,11 +160,15 @@ class RunConfig:
         for s in self.sizes:
             try:
                 geometry_from_size(s)
-            except (ValueError, TypeError) as e:
+            except ValueError as e:
                 errors.append("bad size %r: %s" % (s, e))
         if self.solver.method not in _SOLVER_METHODS:
             errors.append("solver.method must be one of %s"
                           % (_SOLVER_METHODS,))
+        if self.solver.exact_dim_cap < 0:
+            errors.append("solver.exact_dim_cap must be >= 0")
+        if self.corner.drift_tol < 0:
+            errors.append("corner.drift_tol must be >= 0")
         if not self.corner.m_list or any(m < 1 for m in self.corner.m_list):
             errors.append("corner.m_list must be nonempty positive")
         if sorted(self.corner.m_list) != list(self.corner.m_list):
@@ -198,11 +211,6 @@ class RunConfig:
     def to_dict(self):
         return asdict(self)
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     def config_hash(self):
         """Hash of the per-point physics: model parameters, truncation and
         solver controls.  Paths, label and the sweep schedule (sizes,
@@ -220,7 +228,8 @@ class ConfigError(ValueError):
 
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid config:\n  - " + "\n  - ".join(self.problems))
+        sep = "\n  - " if len(self.problems) > 1 else " "
+        super().__init__("invalid config:" + sep + sep.join(self.problems))
 
 
 def preset_names():

@@ -431,8 +431,8 @@ def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
     are solved once for the whole m list.
     """
     from .observables import parity_expectation, von_neumann_entropy
-    if list(m_list) != sorted(m_list):
-        raise ValueError("m_list must be ascending")
+    if not m_list or list(m_list) != sorted(m_list):
+        raise ValueError("m_list must be nonempty and ascending")
     report = []
     prev = None
     blocks = {}

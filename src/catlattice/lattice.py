@@ -101,16 +101,21 @@ def rectangle(lx, ly, label=None):
 
 
 def geometry_from_size(size):
-    """Accepts an int (1D ring) or a pair [lx, ly] (2D torus)."""
-    if isinstance(size, int):
-        return chain(size)
+    """A 1D ring from an int or a digit string ("4"), a 2D torus from an
+    "LxW" string or a pair [lx, ly] of ints.  Anything else, a bool, a
+    float or a pair holding one among them, raises ValueError."""
     if isinstance(size, str):
-        if "x" in size:
-            lx, ly = size.split("x")
-            return rectangle(int(lx), int(ly), label=size)
-        return chain(int(size))
-    lx, ly = size
-    return rectangle(int(lx), int(ly))
+        parts = size.split("x")
+        if len(parts) <= 2 and all(p.isdecimal() for p in parts):
+            if len(parts) == 1:
+                return chain(int(size))
+            return rectangle(int(parts[0]), int(parts[1]), label=size)
+    elif type(size) is int:              # not a bool
+        return chain(size)
+    elif (isinstance(size, (list, tuple)) and len(size) == 2
+          and all(type(e) is int for e in size)):
+        return rectangle(*size)
+    raise ValueError("a size is an int, an \"LxW\" string or a pair of ints")
 
 
 @dataclass(frozen=True)
@@ -138,13 +143,9 @@ class ModelParams:
             raise ValueError("u must be >= 0")
 
     @classmethod
-    def resonant(cls, u, j_hop, g, gamma=1.0):
-        """Convention used throughout: Delta = -|J| and eta = gamma."""
-        return cls(delta=-abs(j_hop), u=u, g=g, j_hop=j_hop, gamma=gamma, eta=gamma)
-
-    def is_resonant_convention(self, tol=1e-12):
-        return (abs(self.delta + abs(self.j_hop)) <= tol
-                and abs(self.eta - self.gamma) <= tol)
+    def resonant(cls, u, j_hop, g):
+        """Convention used throughout: Delta = -|J| and eta = gamma = 1."""
+        return cls(delta=-abs(j_hop), u=u, g=g, j_hop=j_hop)
 
 
 def lattice_hamiltonian(params, a_ops, bonds, dimensionality):

@@ -28,7 +28,8 @@ stacking, vec(rho)[i*D + j] = rho[i, j], under which
 
 since vec(A X B) = (A (x) B^T) vec(X) in this convention: a shift-inverted
 Arnoldi eigensolve targeting the zero eigenvalue, and brute-force RK4 time
-integration.
+integration.  There is no method dispatch: solve_steady_state is the
+kernel, and the oracles are called by name.
 """
 
 import time
@@ -42,6 +43,10 @@ import scipy.sparse.linalg as spla
 # A steady state is accepted when ||L(rho)||_F <= RESIDUAL_TOL times the
 # operator scale (see steady_state_direct).
 RESIDUAL_TOL = 1e-10
+
+# Krylov vectors GMRES keeps between restarts in steady_state_direct; the
+# sweep's memory pre-flight counts them (sweep._exact_memory).
+GMRES_RESTART = 40
 
 
 @dataclass
@@ -71,14 +76,14 @@ class DensityMatrix:
             self._eigs = np.linalg.eigvalsh(self.mat)
         return self._eigs
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-10, psd_tol=-1e-8):
+    def validate(self):
         dev = np.abs(self.mat - self.mat.conj().T).max()
-        if dev > herm_tol:
+        if dev > 1e-10:
             raise ValueError("not Hermitian: max|rho - rho^dag| = %g" % dev)
         tr = self.mat.trace()
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-10:
             raise ValueError("trace deviates from 1 by %g" % abs(tr - 1.0))
-        if self.eigenvalues().min() < psd_tol:
+        if self.eigenvalues().min() < -1e-8:
             raise ValueError("negative eigenvalue %g" % self.eigenvalues().min())
         return self
 
@@ -299,8 +304,8 @@ def steady_state_direct(H, jumps, parity=None):
     # (G -> 0) can stall its preconditioned residual on an accurate state,
     # so the true residual below decides
     x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * RESIDUAL_TOL, atol=0.0,
-                      restart=40, maxiter=10, callback=norms.append,
-                      callback_type="pr_norm")
+                      restart=GMRES_RESTART, maxiter=10,
+                      callback=norms.append, callback_type="pr_norm")
     rhos = [0.5 * (r + r.conj().T) for r in unpack(x)]
     trace = sum(r.trace().real for r in rhos)
     rhos = [r / trace for r in rhos]
@@ -315,16 +320,16 @@ def steady_state_direct(H, jumps, parity=None):
         diagnostics={"nonnormality": nonnormality})
 
 
-def steady_state_eigen(liou, tol=1e-10, max_iter=None, seed=7, parity=None,
-                       degeneracy_tol=1e-9):
+def steady_state_eigen(liou, parity=None):
     """Steady state as the eigenvector of L with smallest |eigenvalue|.
 
-    Uses shift-inverted Arnoldi (sigma ~ 0) with k=2 so the gap to the next
-    mode is monitored: if the two smallest magnitudes fall within
-    degeneracy_tol the parity-symmetric part of the candidate is returned
-    (parity: the +-1 parity of each basis state, as for steady_state_direct)
-    and the result is flagged DEGENERATE (near a symmetry-breaking point the
-    finite-size steady state is unique only up to numerical precision).
+    Uses shift-inverted Arnoldi (sigma ~ 0, tolerance 1e-10, a fixed random
+    start vector) with k=2 so the gap to the next mode is monitored: if the
+    two smallest magnitudes fall within 1e-9 the parity-symmetric part of
+    the candidate is returned (parity: the +-1 parity of each basis state,
+    as for steady_state_direct) and the result is flagged DEGENERATE (near
+    a symmetry-breaking point the finite-size steady state is unique only
+    up to numerical precision).
     """
     t0 = time.time()
     D = liou.dim
@@ -332,7 +337,7 @@ def steady_state_eigen(liou, tol=1e-10, max_iter=None, seed=7, parity=None,
     if not liou.jumps:
         raise ValueError("zero-jump Liouvillian: every Hamiltonian "
                          "eigenprojector is steady, no unique steady state")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     flags = []
     if D <= 12:
         # dense eigendecomposition is cheaper and more robust than Arnoldi here
@@ -345,12 +350,12 @@ def steady_state_eigen(liou, tol=1e-10, max_iter=None, seed=7, parity=None,
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sigma = 1e-6
         vals, vecs = spla.eigs(liou.sup, k=2, sigma=sigma, which="LM", v0=v0,
-                               maxiter=max_iter, tol=tol)
+                               tol=1e-10)
         order = np.argsort(np.abs(vals))
         lam0, lam1 = vals[order[0]], vals[order[1]]
         x = vecs[:, order[0]]
         iters = -1  # ARPACK does not report its iteration count
-    if abs(lam1) - abs(lam0) < degeneracy_tol:
+    if abs(lam1) - abs(lam0) < 1e-9:
         flags.append("DEGENERATE")
     rho = _finalize(x, D)
     if "DEGENERATE" in flags and parity is not None:
@@ -368,12 +373,12 @@ def spectral_radius_bound(liou):
     return float(absL.sum(axis=1).max())
 
 
-def time_evolve(rho0, liou, t_final, dt=None, trace_tol=1e-8):
+def time_evolve(rho0, liou, t_final):
     """Fixed-step RK4 integration of d rho/dt = L[rho].
 
-    dt defaults to 2.0 / bound(spectral radius); the stability precondition
-    dt * radius < 2.5 is enforced.  Trace drift beyond trace_tol aborts: that
-    signals an unstable step size, not a tolerable inaccuracy.
+    The step is 2.0 / bound(spectral radius), shortened to divide t_final
+    evenly, inside RK4's stability region.  Trace drift beyond 1e-8 aborts:
+    that signals an unstable step, not a tolerable inaccuracy.
     """
     D = liou.dim
     mat0 = rho0.mat if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
@@ -382,11 +387,7 @@ def time_evolve(rho0, liou, t_final, dt=None, trace_tol=1e-8):
     radius = spectral_radius_bound(liou)
     if radius == 0.0:
         return DensityMatrix(mat0.copy())
-    if dt is None:
-        dt = 2.0 / radius
-    if dt * radius >= 2.5:
-        raise ValueError("dt * spectral-radius bound = %.3g >= 2.5 (unstable)"
-                         % (dt * radius))
+    dt = 2.0 / radius
     L = liou.sup
     x = mat0.reshape(-1).astype(complex)
     n_steps = int(np.ceil(t_final / dt))
@@ -400,42 +401,31 @@ def time_evolve(rho0, liou, t_final, dt=None, trace_tol=1e-8):
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % check_every == 0 or step == n_steps - 1:
             drift = abs(x[:: D + 1].sum() - 1.0)
-            if drift > trace_tol:
-                raise RuntimeError(
-                    "trace drift %.3g exceeds %.3g at step %d/%d"
-                    % (drift, trace_tol, step + 1, n_steps))
+            if drift > 1e-8:
+                raise RuntimeError("trace drift %.3g exceeds 1e-8 at step "
+                                   "%d/%d" % (drift, step + 1, n_steps))
     return DensityMatrix(_finalize(x, D))
 
 
-def steady_state_time(liou, t_final=60.0, dt=None, rho0=None):
-    """Long-time RK4 evolution packaged as a SteadyStateResult (oracle use)."""
+def steady_state_time(liou, t_final=60.0):
+    """Long-time RK4 evolution from the vacuum |0><0| packaged as a
+    SteadyStateResult (oracle use)."""
     t0 = time.time()
     D = liou.dim
-    if rho0 is None:
-        m = np.zeros((D, D), dtype=complex)
-        m[0, 0] = 1.0
-        rho0 = DensityMatrix(m)
-    rho = time_evolve(rho0, liou, t_final, dt=dt)
+    rho0 = np.zeros((D, D), dtype=complex)
+    rho0[0, 0] = 1.0
+    rho = time_evolve(rho0, liou, t_final)
     res = _residual(liou, rho.mat)
     return SteadyStateResult(rho=rho, residual=res, method="time",
                              wall_time=time.time() - t0)
 
 
-def solve_steady_state(H, jumps, method="auto", parity=None, **kw):
-    """Steady state of H and jumps by the named route, for direct calls.
-
-    method: auto | direct | eigen | time.  auto and direct run the
-    matrix-free kernel steady_state_direct; eigen and time build the sparse
-    superoperator and stay independent oracles.  parity is the +-1 vector of
-    steady_state_direct; time does not use it.  A sweep does not come
-    through here: it solves an exact point as the corner run whose one leaf
-    is the whole lattice (see catlattice.sweep), with the same kernel.
+def solve_steady_state(H, jumps, parity=None):
+    """Steady state of H and jumps by the kernel steady_state_direct, for
+    direct calls.  The oracles steady_state_eigen and steady_state_time
+    take the vectorized Liouvillian and are called by name.  A sweep does
+    not come through here: it solves an exact point as the corner run whose
+    one leaf is the whole lattice (see catlattice.sweep), with the same
+    kernel.
     """
-    if method in ("auto", "direct"):
-        return steady_state_direct(H, jumps, parity=parity, **kw)
-    if method == "eigen":
-        return steady_state_eigen(vectorize_lindbladian(H, jumps),
-                                  parity=parity, **kw)
-    if method == "time":
-        return steady_state_time(vectorize_lindbladian(H, jumps), **kw)
-    raise ValueError("unknown method %r" % (method,))
+    return steady_state_direct(H, jumps, parity=parity)

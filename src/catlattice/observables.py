@@ -3,9 +3,9 @@
 import numpy as np
 
 
-def parity_expectation(rho, pi_op, imag_tol=1e-10):
+def parity_expectation(rho, pi_op):
     """Tr(rho Pi) for Pi a matrix or the +-1 vector of its diagonal.  The
-    imaginary part must vanish; it is checked, then dropped."""
+    imaginary part must vanish (to 1e-10); it is checked, then dropped."""
     mat = rho.mat if hasattr(rho, "mat") else np.asarray(rho)
     if pi_op.shape[0] != mat.shape[0]:
         raise ValueError("operator dimension %d does not match state dimension %d"
@@ -13,20 +13,20 @@ def parity_expectation(rho, pi_op, imag_tol=1e-10):
     if pi_op.ndim == 1:
         return float(mat.diagonal().real @ pi_op)
     val = complex((pi_op @ mat).trace())
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > 1e-10:
         raise ValueError("parity expectation has imaginary part %g" % val.imag)
     return float(val.real)
 
 
-def von_neumann_entropy(rho, eig_floor=1e-14):
-    """S = -sum lambda log lambda (natural log) over eigenvalues above eig_floor."""
+def von_neumann_entropy(rho):
+    """S = -sum lambda log lambda (natural log) over eigenvalues above 1e-14."""
     if hasattr(rho, "eigenvalues"):
         ev = rho.eigenvalues()
     else:
         ev = np.linalg.eigvalsh(np.asarray(rho))
     if ev.min() < -1e-8:
         raise ValueError("state has negative eigenvalue %g" % ev.min())
-    ev = ev[ev > eig_floor]
+    ev = ev[ev > 1e-14]
     s = float(-(ev * np.log(ev)).sum())
     return max(s, 0.0)
 

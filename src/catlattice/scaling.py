@@ -153,21 +153,6 @@ class CollapseResult:
             "dimensionality": self.dimensionality,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            g_c=d["g_c"],
-            uncertainty=d["uncertainty"],
-            residual=d["residual"],
-            crossings=[(c["pair"][0], c["pair"][1], c["g"])
-                       for c in d["crossings"]],
-            master_x=np.asarray(d["master_curve"]["x"], dtype=float),
-            master_y=np.asarray(d["master_curve"]["y"], dtype=float),
-            beta=d["exponents"]["beta"],
-            nu=d["exponents"]["nu"],
-            dimensionality=d["dimensionality"],
-        )
-
 
 def rescale(ds, g_c):
     """{label: (x, y, L)} with x = (G - G_c) L^{1/nu}, y = Pi L^{beta/nu}.
@@ -182,22 +167,15 @@ def rescale(ds, g_c):
     return out
 
 
-def rescale_inverse(x, y, L, g_c, beta, nu):
-    """Undo rescale: returns (G, parity)."""
-    g = np.asarray(x) * L ** (-1.0 / nu) + g_c
-    par = np.asarray(y) * L ** (-beta / nu)
-    return g, par
-
-
-def find_crossing(ds, samples=512):
+def find_crossing(ds):
     """Crossing point of the rescaled parity curves.
 
     Each size's y(G) = Pi(G) L^{beta/nu} is interpolated with a monotone
-    cubic; for every size pair the difference is bracketed on a dense grid
-    and refined by brentq.  G_c is the median of the pairwise crossings and
-    the uncertainty their interquartile range.  Pairs whose curves never
-    cross in the common G window are skipped with a warning; if every pair
-    is skipped the search fails.
+    cubic; for every size pair the difference is bracketed on a grid of 512
+    points and refined by brentq.  G_c is the median of the pairwise
+    crossings and the uncertainty their interquartile range.  Pairs whose
+    curves never cross in the common G window are skipped with a warning;
+    if every pair is skipped the search fails.
     """
     curves = ds.curves()
     labels = list(curves)
@@ -223,7 +201,7 @@ def find_crossing(ds, samples=512):
                 warnings.warn("sizes %s/%s share no G window; pair skipped"
                               % (la, lb))
                 continue
-            grid = np.linspace(lo, hi, samples)
+            grid = np.linspace(lo, hi, 512)
             diff = fa(grid) - fb(grid)
             if np.max(np.abs(diff)) < 1e-12:
                 warnings.warn("sizes %s/%s coincide; no unique crossing"
@@ -270,13 +248,13 @@ def find_crossing(ds, samples=512):
     )
 
 
-def collapse_quality(ds, g_c, n_interior=8):
+def collapse_quality(ds, g_c):
     """Mean squared deviation from a pooled master spline over y-variance.
 
     All rescaled points are pooled and fit by one least-squares cubic
-    spline with knots at x-quantiles; the normalized residual is zero for
-    a perfect collapse and grows as the curves splay apart.  A single-size
-    dataset collapses trivially and scores zero.
+    spline with up to 8 interior knots at x-quantiles; the normalized
+    residual is zero for a perfect collapse and grows as the curves splay
+    apart.  A single-size dataset collapses trivially and scores zero.
     """
     tabs = rescale(ds, g_c)
     if len(tabs) == 1:
@@ -297,7 +275,7 @@ def collapse_quality(ds, g_c, n_interior=8):
     if var == 0.0:
         return 0.0
     k = 3
-    n_knots = min(n_interior, max(len(x) - k - 1, 0))
+    n_knots = min(8, max(len(x) - k - 1, 0))
     while n_knots >= 0:
         if n_knots == 0:
             coeff = np.polyfit(x, y, min(k, len(x) - 1))

@@ -68,26 +68,24 @@ def coherent_vector(alpha, fock):
 
 @dataclass(frozen=True)
 class CatBasis:
-    alpha: complex
-    n_max: int
     plus: np.ndarray      # |C^+>, unit-normalized
     minus: np.ndarray     # |C^->
     n_plus: float         # norms of the even/odd components of |alpha>
     n_minus: float
 
 
-def cat_states(alpha, fock, norm_tol=1e-8):
+def cat_states(alpha, fock):
     """Even/odd cat states in the truncated Fock space.
 
     Raises if the truncation cannot hold the coherent state (norm deficit
-    beyond norm_tol); use required_n_max to size the space.
+    beyond 1e-8); use required_n_max to size the space.
     """
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("cat states are undefined at alpha = 0")
     c = coherent_vector(alpha, fock)
     deficit = abs(1.0 - np.vdot(c, c).real)
-    if deficit > norm_tol:
+    if deficit > 1e-8:
         raise ValueError("Fock truncation insufficient for |alpha|^2 = %.3f: "
                          "norm deficit %.2e (need n_max >= %d)"
                          % (abs(alpha) ** 2, deficit, required_n_max(alpha)))
@@ -99,8 +97,8 @@ def cat_states(alpha, fock, norm_tol=1e-8):
     no = np.linalg.norm(odd)
     if no == 0:
         raise ValueError("odd cat component vanished; increase n_max or alpha")
-    return CatBasis(alpha=alpha, n_max=fock.n_max, plus=even / ne,
-                    minus=odd / no, n_plus=float(ne), n_minus=float(no))
+    return CatBasis(plus=even / ne, minus=odd / no, n_plus=float(ne),
+                    n_minus=float(no))
 
 
 def annihilation_on_cats(basis):
@@ -216,12 +214,13 @@ def validate_mapping(alpha, params, geom, fock):
     return float(dev)
 
 
-def estimate_alpha(params, fock, alpha_max=None, grid=60, refine_iter=40):
+def estimate_alpha(params, fock):
     """Extract alpha from the single-site steady state.
 
     The dominant parity-even eigenvector of the steady state is matched
-    against |C_alpha^+> and |alpha| maximizes the overlap (coarse scan plus
-    golden-section refinement).  The phase of alpha is fixed beforehand from
+    against |C_alpha^+> and |alpha| maximizes the overlap (a 60-point scan
+    of [1e-3, max(2 sqrt(<n> + 1/2), 1/2)] on that eigenvector, then 40
+    golden-section steps).  The phase of alpha is fixed beforehand from
     <a^2> on that eigenvector, since a^2 |C_alpha^+> = alpha^2 |C_alpha^+>
     holds exactly for a cat; a real scan alone would miss drives whose
     steady-state amplitude is complex.  Meaningful in the regime where the
@@ -229,7 +228,7 @@ def estimate_alpha(params, fock, alpha_max=None, grid=60, refine_iter=40):
     below it the overlap is maximized by alpha -> 0 and the result simply
     reports a near-vacuum state.  Returns complex alpha.
     """
-    from .lattice import ModelParams, chain, build_jump_operators
+    from .lattice import chain, build_jump_operators
     from .liouville import solve_steady_state
 
     single = chain(1)
@@ -255,8 +254,7 @@ def estimate_alpha(params, fock, alpha_max=None, grid=60, refine_iter=40):
     a2 = complex(np.vdot(best, a2v))
     phase = 0.5 * np.angle(a2) if abs(a2) > 1e-12 else 0.0
     ray = np.exp(1j * phase)
-    if alpha_max is None:
-        alpha_max = max(2.0 * np.sqrt(nbar + 0.5), 0.5)
+    alpha_max = max(2.0 * np.sqrt(nbar + 0.5), 0.5)
 
     def overlap(a):
         if a <= 0:
@@ -269,17 +267,17 @@ def estimate_alpha(params, fock, alpha_max=None, grid=60, refine_iter=40):
             return 0.0
         return abs(np.vdot(even / nrm, best))
 
-    alphas = np.linspace(1e-3, alpha_max, grid)
+    alphas = np.linspace(1e-3, alpha_max, 60)
     vals = [overlap(a) for a in alphas]
     k = int(np.argmax(vals))
     lo = alphas[max(k - 1, 0)]
-    hi = alphas[min(k + 1, grid - 1)]
+    hi = alphas[min(k + 1, len(alphas) - 1)]
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c1 = b - phi * (b - a)
     c2 = a + phi * (b - a)
     f1, f2 = overlap(c1), overlap(c2)
-    for _ in range(refine_iter):
+    for _ in range(40):
         if f1 >= f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - phi * (b - a)

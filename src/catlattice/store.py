@@ -48,9 +48,6 @@ class SweepStore:
     def __len__(self):
         return len(self._records)
 
-    def records(self):
-        return list(self._records)
-
     def has_point(self, config_hash, size_label, g):
         return point_key(config_hash, size_label, g) in self._keys
 

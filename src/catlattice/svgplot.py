@@ -1,7 +1,8 @@
 """Tiny SVG line-plot writer.
 
-Enough for sweep reports: line+marker series, a legend, optional log
-axes, vertical reference lines.  Emits self-contained SVG text with no
+Enough for sweep reports: line+marker series on linear axes, a legend,
+vertical reference lines.  Each series gets the next color and marker
+shape in turn.  Emits self-contained SVG text of a fixed size with no
 dependency on a plotting stack; layout is plain and bit-exactness is not
 a goal.
 """
@@ -13,6 +14,7 @@ from xml.sax.saxutils import escape
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 MARKERS = ("circle", "square", "diamond", "triangle")
+WIDTH, HEIGHT = 640, 440
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -33,13 +35,6 @@ def _nice_ticks(lo, hi, target=6):
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         t += step
     return ticks
-
-
-def _log_ticks(lo, hi):
-    d0 = math.floor(math.log10(lo))
-    d1 = math.ceil(math.log10(hi))
-    return [10.0 ** d for d in range(d0, d1 + 1)
-            if lo / 1.001 <= 10.0 ** d <= hi * 1.001]
 
 
 def _fmt(v):
@@ -68,27 +63,18 @@ def _marker_svg(kind, x, y, r, color):
 
 
 class SvgFigure:
-    def __init__(self, title="", xlabel="", ylabel="", width=640, height=440,
-                 xlog=False, ylog=False):
+    def __init__(self, title="", xlabel="", ylabel=""):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.width = width
-        self.height = height
-        self.xlog = xlog
-        self.ylog = ylog
         self.series = []
         self.vlines = []
 
-    def add_series(self, x, y, label=None, marker="o", line=True):
+    def add_series(self, x, y, label=None):
         pts = [(float(a), float(b)) for a, b in zip(x, y)]
-        if self.xlog:
-            pts = [p for p in pts if p[0] > 0]
-        if self.ylog:
-            pts = [p for p in pts if p[1] > 0]
         if not pts:
             raise ValueError("series '%s' has no plottable points" % label)
-        self.series.append((pts, label, marker))
+        self.series.append((pts, label))
 
     def add_vline(self, x, label=None):
         self.vlines.append((float(x), label))
@@ -97,64 +83,44 @@ class SvgFigure:
 
     def _ranges(self):
         xs = [p[0] for s in self.series for p in s[0]]
-        xs += [v for v, _ in self.vlines if not self.xlog or v > 0]
+        xs += [v for v, _ in self.vlines]
         ys = [p[1] for s in self.series for p in s[0]]
         xlo, xhi = min(xs), max(xs)
         ylo, yhi = min(ys), max(ys)
-        if self.xlog:
-            pad = (xhi / xlo) ** 0.05 if xhi > xlo else 2.0
-            xlo, xhi = xlo / pad, xhi * pad
-        else:
-            pad = 0.05 * (xhi - xlo) or max(abs(xlo), 1.0) * 0.1
-            xlo, xhi = xlo - pad, xhi + pad
-        if self.ylog:
-            pad = (yhi / ylo) ** 0.05 if yhi > ylo else 2.0
-            ylo, yhi = ylo / pad, yhi * pad
-        else:
-            pad = 0.05 * (yhi - ylo) or max(abs(ylo), 1.0) * 0.1
-            ylo, yhi = ylo - pad, yhi + pad
+        pad = 0.05 * (xhi - xlo) or max(abs(xlo), 1.0) * 0.1
+        xlo, xhi = xlo - pad, xhi + pad
+        pad = 0.05 * (yhi - ylo) or max(abs(ylo), 1.0) * 0.1
+        ylo, yhi = ylo - pad, yhi + pad
         return xlo, xhi, ylo, yhi
 
     def to_svg(self):
         if not self.series:
             raise ValueError("figure has no series")
         ml, mr, mt, mb = 64, 16, 34, 48
-        pw = self.width - ml - mr
-        ph = self.height - mt - mb
+        pw = WIDTH - ml - mr
+        ph = HEIGHT - mt - mb
         xlo, xhi, ylo, yhi = self._ranges()
 
         def sx(v):
-            if self.xlog:
-                f = (math.log10(v) - math.log10(xlo)) / (
-                    math.log10(xhi) - math.log10(xlo))
-            else:
-                f = (v - xlo) / (xhi - xlo)
-            return ml + f * pw
+            return ml + (v - xlo) / (xhi - xlo) * pw
 
         def sy(v):
-            if self.ylog:
-                f = (math.log10(v) - math.log10(ylo)) / (
-                    math.log10(yhi) - math.log10(ylo))
-            else:
-                f = (v - ylo) / (yhi - ylo)
-            return mt + (1.0 - f) * ph
+            return mt + (1.0 - (v - ylo) / (yhi - ylo)) * ph
 
         out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
                'height="%d" viewBox="0 0 %d %d">'
-               % (self.width, self.height, self.width, self.height)]
+               % (WIDTH, HEIGHT, WIDTH, HEIGHT)]
         out.append('<rect width="%d" height="%d" fill="white"/>'
-                   % (self.width, self.height))
+                   % (WIDTH, HEIGHT))
         out.append('<g font-family="sans-serif" font-size="12">')
 
-        xticks = _log_ticks(xlo, xhi) if self.xlog else _nice_ticks(xlo, xhi)
-        yticks = _log_ticks(ylo, yhi) if self.ylog else _nice_ticks(ylo, yhi)
-        for t in xticks:
+        for t in _nice_ticks(xlo, xhi):
             px = sx(t)
             out.append('<line x1="%.2f" y1="%d" x2="%.2f" y2="%d" '
                        'stroke="#dddddd"/>' % (px, mt, px, mt + ph))
             out.append('<text x="%.2f" y="%d" text-anchor="middle">%s</text>'
                        % (px, mt + ph + 16, _fmt(t)))
-        for t in yticks:
+        for t in _nice_ticks(ylo, yhi):
             py = sy(t)
             out.append('<line x1="%d" y1="%.2f" x2="%d" y2="%.2f" '
                        'stroke="#dddddd"/>' % (ml, py, ml + pw, py))
@@ -176,11 +142,9 @@ class SvgFigure:
                            'fill="#555555">%s</text>'
                            % (px, mt - 6, escape(vlabel)))
 
-        for idx, (pts, label, marker) in enumerate(self.series):
+        for idx, (pts, label) in enumerate(self.series):
             color = PALETTE[idx % len(PALETTE)]
-            kind = MARKERS[idx % len(MARKERS)] if marker == "auto" else {
-                "o": "circle", "s": "square", "d": "diamond",
-                "^": "triangle"}.get(marker, "circle")
+            kind = MARKERS[idx % len(MARKERS)]
             path = " ".join("%.2f,%.2f" % (sx(px), sy(py)) for px, py in pts)
             out.append('<polyline points="%s" fill="none" stroke="%s" '
                        'stroke-width="1.5"/>' % (path, color))
@@ -212,7 +176,7 @@ class SvgFigure:
                        % (ml + pw / 2.0, escape(self.title)))
         if self.xlabel:
             out.append('<text x="%.1f" y="%d" text-anchor="middle">%s</text>'
-                       % (ml + pw / 2.0, self.height - 10,
+                       % (ml + pw / 2.0, HEIGHT - 10,
                           escape(self.xlabel)))
         if self.ylabel:
             out.append('<text x="16" y="%.1f" text-anchor="middle" '

@@ -1,30 +1,32 @@
 """Sweep execution: route each (size, G) point to a solver and persist it.
 
-Every point is a corner run (catlattice.corner), routed by Hilbert
-dimension.  A lattice within the exact cap is solved exactly, as the run
-whose one leaf is the whole lattice: the lattice model solved by
-liouville's matrix-free kernel, recorded with method "direct", the kernel's
-GMRES iteration count and its nonnormality.  Larger lattices, and every
-lattice under method corner, go through the corner convergence sweep over
-the configured M list.  One function records both.  Failures are recorded
-per point and the sweep only fails when every point does.
+Every point is a corner convergence sweep (catlattice.corner), routed by
+Hilbert dimension.  A lattice within the exact cap is solved exactly, as
+one run at M = D whose one leaf is the whole lattice: the lattice model
+solved by liouville's matrix-free kernel with no merge, recorded with
+method "direct".  Larger lattices, and every lattice under method corner,
+run over the configured M list.  Both give one record shape: the final
+block's GMRES iterations and nonnormality, the convergence report (for an
+exact point one entry, drift null, exact true) and the merge steps (none
+for an exact point).  Failures are recorded per point and the sweep only
+fails when every point does.
 """
 from __future__ import annotations
 
 import os
 import time
 
-from .corner import convergence_sweep, corner_steady_state
+from .corner import convergence_sweep
 from .fock import FockSpace
+from .liouville import GMRES_RESTART
 from .observables import expectation, parity_expectation, von_neumann_entropy
 from .store import SweepStore
 
 
-def _record(run, n_sites, report=None):
-    """Record body of a corner run; report is its convergence report, None
-    for an exact point."""
+def _record(run, n_sites, report):
+    """Record body of a corner run and its convergence report."""
     res = run.result
-    body = {
+    return {
         "parity": parity_expectation(res.rho, run.parity),
         "entropy": von_neumann_entropy(res.rho),
         "n_per_site": expectation(res.rho, run.n_op).real / n_sites,
@@ -34,13 +36,10 @@ def _record(run, n_sites, report=None):
         "converged": "HIGH_RESIDUAL" not in res.flags and run.converged,
         "flags": list(res.flags),
         "iterations": res.iterations,
+        "nonnormality": res.diagnostics["nonnormality"],
+        "corner_report": report,
+        "steps": run.steps,
     }
-    if report is None:
-        body["nonnormality"] = res.diagnostics["nonnormality"]
-    else:
-        body["corner_report"] = report
-        body["steps"] = run.steps
-    return body
 
 
 def available_memory():
@@ -59,16 +58,17 @@ def _exact_memory(fock, n_sites, n_jumps):
     """Bytes an exact solve of n_sites sites with n_jumps jumps holds.
 
     The kernel keeps rho as its two parity sectors, De and Do states, in
-    arrays of 16 (De^2 + Do^2) bytes: GMRES's 41 Krylov vectors (restart
-    40), seven per-sector Schur factors and preconditioner arrays and about
-    a dozen work arrays.  Two D x D arrays stay full size (the leaf's dense
+    arrays of 16 (De^2 + Do^2) bytes: GMRES's GMRES_RESTART + 1 Krylov
+    vectors, seven per-sector Schur factors and preconditioner arrays and
+    about a dozen work arrays.  Two D x D arrays stay full size (the leaf's dense
     H and the returned rho), and each jump (a_j or a_j^2, at most D
     nonzeros) is held four times in sparse form at 20 bytes a nonzero.
     """
     dim = fock.dim ** n_sites
     trace = 1 - fock.n_max % 2         # tr(Pi) = (sum_n (-1)^n)^n_sites
     even, odd = (dim + trace) // 2, (dim - trace) // 2
-    return (16 * ((41 + 7 + 12) * (even ** 2 + odd ** 2) + 2 * dim ** 2)
+    return (16 * ((GMRES_RESTART + 1 + 7 + 12) * (even ** 2 + odd ** 2)
+                  + 2 * dim ** 2)
             + 4 * 20 * dim * n_jumps)
 
 
@@ -96,18 +96,16 @@ def solve_point(cfg, geom, g):
     t0 = time.time()
     if cfg.solver.method == "corner" or (cfg.solver.method == "auto"
                                          and dim > cfg.solver.exact_dim_cap):
-        run, report = convergence_sweep(
-            geom, params, fock, list(cfg.corner.m_list),
-            tol=cfg.corner.drift_tol,
-            leaf_sites_max=cfg.corner.leaf_sites_max)
-        body = _record(run, geom.n_sites, report)
+        m_list, leaf_sites_max = cfg.corner.m_list, cfg.corner.leaf_sites_max
     else:
         # one-photon loss on every site, plus two-photon loss if eta > 0
         _check_exact_memory(fock, geom.n_sites,
                             geom.n_sites * (2 if params.eta > 0 else 1))
-        run = corner_steady_state(geom, params, fock, dim,
-                                  leaf_sites_max=geom.n_sites)
-        body = _record(run, geom.n_sites)
+        m_list, leaf_sites_max = [dim], geom.n_sites
+    run, report = convergence_sweep(geom, params, fock, m_list,
+                                    tol=cfg.corner.drift_tol,
+                                    leaf_sites_max=leaf_sites_max)
+    body = _record(run, geom.n_sites, report)
     body["wall_time"] = time.time() - t0
     body["hilbert_dim"] = dim
     return body

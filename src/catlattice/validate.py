@@ -80,9 +80,9 @@ def _group(name, checks, extra=None):
     return g
 
 
-def solver_agreement_group(points=AGREEMENT_POINTS, t_final=60.0):
+def solver_agreement_group():
     checks = []
-    for tag, size, n_max, params in points:
+    for tag, size, n_max, params in AGREEMENT_POINTS:
         geom = geometry_from_size(size)
         fock = FockSpace(n_max)
         h = build_hamiltonian(params, geom, fock)
@@ -91,7 +91,7 @@ def solver_agreement_group(points=AGREEMENT_POINTS, t_final=60.0):
         r_dir = steady_state_direct(h, jumps)
         r_eig = steady_state_eigen(
             liou, parity=parity_op(fock, geom.n_sites).diagonal().real)
-        r_time = steady_state_time(liou, t_final=t_final)
+        r_time = steady_state_time(liou)
         pairs = (("direct-eigen", r_dir, r_eig),
                  ("direct-time", r_dir, r_time),
                  ("eigen-time", r_eig, r_time))
@@ -100,7 +100,7 @@ def solver_agreement_group(points=AGREEMENT_POINTS, t_final=60.0):
                                  trace_distance(ra.rho, rb.rho),
                                  AGREEMENT_TOL))
     return _group("solver_agreement", checks,
-                  {"n_points": len(points)})
+                  {"n_points": len(AGREEMENT_POINTS)})
 
 
 def corner_exactness_group(inject=None):

@@ -74,6 +74,28 @@ def test_mistyped_sweep_field_exits_2(tmp_path, capsys):
     assert "g_values must be a list of numbers" in capsys.readouterr().err
 
 
+def test_bad_size_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(MINI, sizes=[1, [2, 2.7]])))
+    rc = main(["solve", "-c", str(bad)])
+    assert rc == 2
+    assert "bad size [2, 2.7]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "5", "[]"],
+                         ids=["missing", "malformed", "number", "list"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, text):
+    # a config file that is absent, is no JSON or holds no JSON object is
+    # one line on stderr and exit code 2, not a traceback
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["solve", "-c", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+
+
 def test_unknown_preset_exits_2(capsys):
     rc = main(["solve", "-p", "fig9"])
     assert rc == 2

@@ -21,7 +21,7 @@ MINIMAL = {
 def test_from_dict_round_trip(tmp_path):
     cfg = RunConfig.from_dict(dict(MINIMAL))
     path = tmp_path / "run.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     back = RunConfig.load(path)
     assert back.to_dict() == cfg.to_dict()
     assert back.config_hash() == cfg.config_hash()
@@ -103,6 +103,31 @@ def test_leaf_sites_max_must_be_positive():
     assert err.value.problems == ["corner.leaf_sites_max must be >= 1"]
     cfg = RunConfig.from_dict(dict(MINIMAL, corner={"leaf_sites_max": 1}))
     assert cfg.corner.leaf_sites_max == 1
+
+
+@pytest.mark.parametrize("size", [True, [2, 2.7], [2, True], [2, "3"],
+                                  2.0, "2x", "two", [2, 3, 4]],
+                         ids=["bool", "pair_float", "pair_bool",
+                              "pair_string", "float", "half_string",
+                              "word", "triple"])
+def test_size_specs_are_ints_strings_or_int_pairs(size):
+    # a size is an int >= 1, an "LxW" string or a pair of ints; true would
+    # be a 1-site lattice labelled "True" and [2, 2.7] a silent 2x2
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(dict(MINIMAL, sizes=[3, size]))
+    (problem,) = err.value.problems
+    assert problem.startswith("bad size %r:" % (size,))
+
+
+@pytest.mark.parametrize("section, field", [("corner", "drift_tol"),
+                                            ("solver", "exact_dim_cap")])
+def test_negative_tolerances_are_config_errors(section, field):
+    # at drift_tol -1.0 no point could converge short of the last M
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(dict(MINIMAL, **{section: {field: -1}}))
+    assert err.value.problems == ["%s.%s must be >= 0" % (section, field)]
+    cfg = RunConfig.from_dict(dict(MINIMAL, **{section: {field: 0}}))
+    assert getattr(getattr(cfg, section), field) == 0
 
 
 def test_resonant_convention_derived_parameters():

@@ -295,6 +295,9 @@ def test_convergence_sweep_rejects_unsorted():
     p = ModelParams.resonant(u=20.0, j_hop=10.0, g=1.0)
     with pytest.raises(ValueError):
         convergence_sweep(chain(2), p, f, [8, 4])
+    # no M means no run to return: a ValueError, not an UnboundLocalError
+    with pytest.raises(ValueError, match="nonempty"):
+        convergence_sweep(chain(2), p, f, [])
 
 
 def test_truncated_corner_tracks_exact_three_site():

@@ -64,10 +64,7 @@ def test_model_params_validation():
 def test_resonant_convention():
     p = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.2)
     assert p.delta == pytest.approx(-20.0)
-    assert p.eta == pytest.approx(p.gamma)
-    assert p.is_resonant_convention()
-    q = ModelParams(delta=-5.0, u=40.0, g=1.2, j_hop=20.0)
-    assert not q.is_resonant_convention()
+    assert p.eta == pytest.approx(p.gamma) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("geom, n_max, g", [

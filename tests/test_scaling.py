@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from catlattice.scaling import (EXPONENTS_1D, EXPONENTS_2D, CollapseResult,
-                                ScalingDataset, ScalingRecord, collapse_quality,
+from catlattice.scaling import (EXPONENTS_1D, EXPONENTS_2D, ScalingDataset,
+                                ScalingRecord, collapse_quality,
                                 exponents_for_dimension, find_crossing,
-                                fit_entropy_peak, parse_size_label, rescale,
-                                rescale_inverse)
+                                fit_entropy_peak, parse_size_label, rescale)
 
 G_C_TRUE = 1.2
 BETA_2D, NU_2D = EXPONENTS_2D
@@ -87,9 +86,10 @@ def test_rescale_value_and_inverse():
     # independent hand evaluation of the two scaling transforms
     assert x[0] == pytest.approx((1.5 - 1.2) * 2.0 ** (1.0 / NU_2D), rel=1e-12)
     assert y[0] == pytest.approx(0.415 * 2.0 ** (BETA_2D / NU_2D), rel=1e-12)
-    g_back, par_back = rescale_inverse(x, y, L, G_C_TRUE, BETA_2D, NU_2D)
-    assert g_back[0] == pytest.approx(1.5, abs=1e-13)
-    assert par_back[0] == pytest.approx(0.415, abs=1e-13)
+    # the transforms invert with the returned linear size
+    assert x[0] * L ** (-1.0 / NU_2D) + G_C_TRUE == pytest.approx(1.5,
+                                                                  abs=1e-13)
+    assert y[0] * L ** (-BETA_2D / NU_2D) == pytest.approx(0.415, abs=1e-13)
 
 
 def test_find_crossing_recovers_synthetic_g_c():
@@ -154,13 +154,12 @@ def test_collapse_single_size_warns():
 def test_collapse_result_round_trip(tmp_path):
     ds = ScalingDataset.from_rows(synthetic_rows(), dimensionality=2)
     res = find_crossing(ds)
-    d = res.to_dict()
-    blob = json.dumps(d)
-    back = CollapseResult.from_dict(json.loads(blob))
-    assert back.g_c == res.g_c
-    assert back.beta == res.beta
-    assert back.crossings == res.crossings
-    np.testing.assert_allclose(back.master_x, res.master_x)
+    back = json.loads(json.dumps(res.to_dict()))
+    assert back["g_c"] == res.g_c
+    assert back["exponents"]["beta"] == res.beta
+    assert [(c["pair"][0], c["pair"][1], c["g"])
+            for c in back["crossings"]] == res.crossings
+    np.testing.assert_allclose(back["master_curve"]["x"], res.master_x)
 
 
 @pytest.mark.parametrize("kappa", [0.29, 0.44, 0.80])

@@ -32,22 +32,6 @@ def test_label_escaping(tmp_path):
     assert "&lt;2x2&gt;" in text
 
 
-def test_log_axes_filter_nonpositive(tmp_path):
-    fig = SvgFigure(title="t", xlabel="x", ylabel="y", xlog=True, ylog=True)
-    fig.add_series([0.0, 1.0, 10.0], [-1.0, 2.0, 200.0], label="s")
-    path, tree = render(fig, tmp_path)
-    # only the two positive-positive points survive
-    poly = [el for el in tree.iter() if el.tag.endswith("polyline")]
-    pts = poly[0].get("points").split()
-    assert len(pts) == 2
-
-
-def test_log_axis_all_filtered_raises(tmp_path):
-    fig = SvgFigure(title="t", xlabel="x", ylabel="y", ylog=True)
-    with pytest.raises(ValueError):
-        fig.add_series([0, 1], [-1.0, -2.0], label="s")
-
-
 def test_empty_series_rejected():
     fig = SvgFigure(title="t", xlabel="x", ylabel="y")
     with pytest.raises(ValueError):
@@ -57,8 +41,8 @@ def test_empty_series_rejected():
 def test_vline_and_markers(tmp_path):
     fig = SvgFigure(title="t", xlabel="x", ylabel="y")
     xs = np.linspace(0, 1, 5)
-    fig.add_series(xs, xs ** 2, label="a", marker="circle")
-    fig.add_series(xs, 1 - xs, label="b", marker="square")
+    fig.add_series(xs, xs ** 2, label="a")
+    fig.add_series(xs, 1 - xs, label="b")
     fig.add_vline(0.5, label="crossing")
     path, tree = render(fig, tmp_path)
     text = open(path).read()
@@ -71,7 +55,7 @@ def test_vline_and_markers(tmp_path):
 def test_distinct_auto_markers(tmp_path):
     fig = SvgFigure(title="t", xlabel="x", ylabel="y")
     for k in range(4):
-        fig.add_series([0, 1], [k, k + 1], label="s%d" % k, marker="auto")
+        fig.add_series([0, 1], [k, k + 1], label="s%d" % k)
     path, tree = render(fig, tmp_path)
     text = open(path).read()
     assert "<circle" in text and "<rect" in text and "<polygon" in text

@@ -41,13 +41,21 @@ def test_solve_point_record_schema(tmp_path):
     geom = cfg.geometries()[0]
     body = solve_point(cfg, geom, 2.0)
     for key in ("parity", "entropy", "n_per_site", "method", "M",
-                "residual", "converged", "wall_time", "hilbert_dim"):
+                "residual", "converged", "wall_time", "hilbert_dim",
+                "flags", "iterations", "nonnormality", "corner_report",
+                "steps"):
         assert key in body
     assert body["method"] == "direct"
     # single site, Fock levels 0..n_max
     assert body["M"] == body["hilbert_dim"] == 4
     assert -1.0 <= body["parity"] <= 1.0
     assert body["converged"]
+    # an exact point is one corner run at M = D with no merge
+    (entry,) = body["corner_report"]
+    assert entry["drift"] is None and entry["exact"]
+    assert entry["m"] == entry["m_used"] == 4
+    assert entry["parity"] == body["parity"]
+    assert body["steps"] == []
 
 
 def test_run_sweep_writes_store_and_csv(tmp_path):
@@ -80,6 +88,10 @@ def test_corner_record_holds_its_steps(tmp_path):
         (rec,) = [json.loads(line) for line in fh]
     assert rec["method"] == "corner"
     assert rec["steps"]
+    # the final block's kernel diagnostics, as in an exact record
+    assert rec["nonnormality"] == rec["steps"][-1]["nonnormality"]
+    assert [e["m"] for e in rec["corner_report"]] == [4, 6][
+        :len(rec["corner_report"])]
     for step in rec["steps"]:
         assert step["m"] >= 1 and 0.0 < step["kept_weight"] <= 1.0
         assert step["residual"] >= 0.0 and step["wall"] >= 0.0
