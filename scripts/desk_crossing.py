@@ -13,14 +13,12 @@ against the truncation, not to reproduce the large-lattice value.
     python scripts/desk_crossing.py --n-max 5 --out-dir /tmp/desk
 """
 import argparse
-import json
 import os
 import sys
 
+from catlattice.analyze import analyze_rows
 from catlattice.config import RunConfig
-from catlattice.scaling import ScalingDataset, find_crossing, rescale
 from catlattice.store import read_rows
-from catlattice.svgplot import SvgFigure
 from catlattice.sweep import run_sweep
 
 G_GRID = [1.2, 1.8, 2.4, 3.0, 4.0, 4.5, 5.0, 5.5, 6.0, 7.0, 8.0]
@@ -51,24 +49,15 @@ def main():
     store = run_sweep(cfg, log=lambda msg: print(msg, flush=True))
     res = store.last_sweep
     rows = read_rows(res["store_path"])
-    ds = ScalingDataset.from_rows(rows, dimensionality=1)
-    cr = find_crossing(ds)
+    outdir = os.path.join(os.path.dirname(res["store_path"]),
+                          cfg.label + "_analysis")
+    out = analyze_rows(rows, outdir, dimensionality=1)
+    cr = out["collapse_result"]
     print("apparent crossing: G_c/gamma = %.3f +- %.3f (pairs: %s)"
           % (cr.g_c, cr.uncertainty,
              ", ".join("%s/%s at %.2f" % c for c in cr.crossings)))
-
-    outdir = os.path.dirname(res["store_path"])
-    fig = SvgFigure(title="rescaled parity, N = 2..5",
-                    xlabel="G/gamma", ylabel="parity * N^(beta/nu)")
-    for label, (L, gs, par, _) in ds.curves().items():
-        fig.add_series(gs, par * L ** (ds.beta / ds.nu),
-                       label="N=" + label)
-    fig.add_vline(cr.g_c, label="G_c=%.2f" % cr.g_c)
-    path = fig.write(os.path.join(outdir, "desk_crossing.svg"))
-    print("figure: %s" % path)
-    with open(os.path.join(outdir, "desk_crossing.json"), "w") as fh:
-        json.dump(cr.to_dict(), fh, indent=2)
-        fh.write("\n")
+    print("figure: %s" % out["collapse_svg"])
+    print("collapse: %s" % out["collapse_json"])
     return 0
 
 

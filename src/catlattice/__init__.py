@@ -22,10 +22,9 @@ from .corner import (CornerBasis, corner_steady_state, convergence_sweep,
 from .spinmap import (CatBasis, SpinModelCoefficients, cat_states,
                       coherent_vector, required_n_max, annihilation_on_cats,
                       build_xy_hamiltonian, validate_mapping, estimate_alpha)
-from .scaling import (ScalingDataset, ScalingRecord, CollapseResult,
-                      EntropyPeakFit, rescale, find_crossing,
-                      collapse_quality, fit_entropy_peak, EXPONENTS_1D,
-                      EXPONENTS_2D)
+from .scaling import (ScalingDataset, CollapseResult, EntropyPeakFit, rescale,
+                      find_crossing, collapse_quality, fit_entropy_peak,
+                      EXPONENTS_1D, EXPONENTS_2D)
 from .config import RunConfig, ConfigError, load_preset, preset_names
 from .store import SweepStore, read_rows
 from .sweep import run_sweep, solve_point

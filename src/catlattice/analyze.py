@@ -10,8 +10,8 @@ import csv
 import json
 import os
 
-from .scaling import (ScalingDataset, exponents_for_dimension, find_crossing,
-                      fit_entropy_peak, rescale)
+from .lattice import geometry_from_size
+from .scaling import ScalingDataset, find_crossing, fit_entropy_peak, rescale
 from .svgplot import SvgFigure
 
 
@@ -20,11 +20,12 @@ class AnalysisError(ValueError):
 
 
 def infer_dimensionality(rows):
-    """2 when any size label is a WxH product, else 1."""
-    for r in rows:
-        if "x" in str(r["size"]).lower():
-            return 2
-    return 1
+    """The largest lattice dimensionality among the rows' sizes, at least 1.
+
+    A 1 x L or L x 1 size is a ring, so a store of them alone is 1D.
+    """
+    return max([1] + [geometry_from_size(label).dimensionality
+                      for label in {str(r["size"]) for r in rows}])
 
 
 def _usable_rows(rows):
@@ -57,8 +58,8 @@ def analyze_rows(rows, outdir, dimensionality=None, beta=None, nu=None,
 
     if dimensionality is None:
         dimensionality = infer_dimensionality(rows)
-    ds = ScalingDataset.from_rows(rows, dimensionality, beta, nu,
-                                  include_unconverged=include_unconverged)
+    ds = ScalingDataset(rows, dimensionality, beta, nu,
+                        include_unconverged=include_unconverged)
     os.makedirs(outdir, exist_ok=True)
     out = {"dimensionality": dimensionality,
            "exponents": (ds.beta, ds.nu)}
@@ -96,7 +97,7 @@ def analyze_rows(rows, outdir, dimensionality=None, beta=None, nu=None,
 
 
 def _figures(ds, result, outdir):
-    curves = ds.curves()
+    curves = ds.curves
     paths = {}
 
     fig = SvgFigure(title="entropy vs drive", xlabel="G/gamma",

@@ -190,19 +190,13 @@ class Region:
     ny: int
 
     def sites(self, geom):
-        ly = _full_extents(geom)[1]
+        ly = geom.extents[1]
         return [x * ly + y for x in range(self.x0, self.x0 + self.nx)
                 for y in range(self.y0, self.y0 + self.ny)]
 
     def shape_key(self, geom):
-        lx, ly = _full_extents(geom)
+        lx, ly = geom.extents
         return (self.nx, self.ny, self.nx == lx, self.ny == ly)
-
-
-def _full_extents(geom):
-    if len(geom.extents) == 1:
-        return geom.extents[0], 1
-    return geom.extents
 
 
 def _split(region):
@@ -404,7 +398,7 @@ def corner_steady_state(geom, params, fock, m, leaf_sites_max=2, blocks=None):
     t0 = time.time()
     run = _Pass(geom, params, fock, m, leaf_sites_max,
                 {} if blocks is None else blocks)
-    _, final = _solve_region(Region(0, 0, *_full_extents(geom)), run)
+    _, final = _solve_region(Region(0, 0, *geom.extents), run)
     used = run.used.values()
     flags = []
     if any("HIGH_RESIDUAL" in b.result.flags for b in used):

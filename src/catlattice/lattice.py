@@ -32,13 +32,14 @@ class Bond:
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Periodic chain or rectangular torus.
+    """Periodic lx x ly torus; a ring of n sites is the n x 1 torus.
 
-    dimensionality counts the axes of extent >= 2: a 1 x L lattice is stored
-    with the label the caller asked for but is physically a ring of L sites,
-    so its coordination (and the J/2d normalization) is that of a 1D chain.
-    Each site has exactly 2*dimensionality neighbour links, with extent-2 axes
-    contributing a single bond of weight 2.
+    extents is always the pair (lx, ly).  dimensionality counts the axes of
+    extent >= 2: a 1 x L or L x 1 lattice keeps the label the caller asked
+    for but is a ring of L sites, so its coordination (and the J/2d
+    normalization) is that of a 1D chain.  Each site has exactly
+    2*dimensionality neighbour links, with extent-2 axes contributing a
+    single bond of weight 2.
     """
 
     extents: tuple
@@ -47,10 +48,7 @@ class LatticeGeometry:
 
     @property
     def n_sites(self):
-        n = 1
-        for e in self.extents:
-            n *= e
-        return n
+        return self.extents[0] * self.extents[1]
 
     @property
     def dimensionality(self):
@@ -68,28 +66,19 @@ def _axis_bonds(extent):
     return out
 
 
-def chain(n_sites, label=None):
-    """Periodic 1D chain of n_sites."""
-    if n_sites < 1:
-        raise ValueError("need at least one site")
-    bonds = tuple(Bond(i, j, w) for (i, j, w) in _axis_bonds(n_sites))
-    return LatticeGeometry((n_sites,), bonds, label or str(n_sites))
+def chain(n_sites):
+    """Periodic 1D chain of n_sites: the n_sites x 1 torus."""
+    return rectangle(n_sites, 1, label=str(n_sites))
 
 
 def rectangle(lx, ly, label=None):
     """Periodic lx x ly lattice; site index is x * ly + y.
 
-    Degenerate extents collapse: rectangle(1, L) is the L-site ring.
+    An axis of extent 1 adds no bonds: rectangle(1, L) is the L-site ring.
     """
     if lx < 1 or ly < 1:
         raise ValueError("extents must be >= 1")
     label = label or "%dx%d" % (lx, ly)
-    if lx == 1:
-        g = chain(ly, label=label)
-        return LatticeGeometry((1, ly), g.bonds, label)
-    if ly == 1:
-        g = chain(lx, label=label)
-        return LatticeGeometry((lx, 1), g.bonds, label)
     bonds = []
     for y in range(ly):
         for (x1, x2, w) in _axis_bonds(lx):
@@ -101,9 +90,10 @@ def rectangle(lx, ly, label=None):
 
 
 def geometry_from_size(size):
-    """A 1D ring from an int or a digit string ("4"), a 2D torus from an
-    "LxW" string or a pair [lx, ly] of ints.  Anything else, a bool, a
-    float or a pair holding one among them, raises ValueError."""
+    """A ring from an int or a digit string ("4"), a torus from an "LxW"
+    string or a pair [lx, ly] of ints (a ring when one extent is 1).
+    Anything else, a bool, a float or a pair holding one among them, raises
+    ValueError."""
     if isinstance(size, str):
         parts = size.split("x")
         if len(parts) <= 2 and all(p.isdecimal() for p in parts):

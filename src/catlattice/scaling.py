@@ -4,9 +4,12 @@ Rescale sweep data with fixed Ising exponents, locate the crossing point
 of the rescaled curves, score the quality of the data collapse, and fit
 the entropy-peak power law max(S) ~ N^kappa.
 
-Exponents are inputs, never fit parameters.  The 2D lattice uses the
-classical 3D Ising pair and the 1D array the classical 2D Ising pair;
-the linear size is L = sqrt(N) in 2D and L = N in 1D.
+Sweep-store rows go straight into one curve per size label.  A label is
+read by lattice.geometry_from_size, so "4", "1x4" and "4x1" are all a
+4-site ring; N is its site count.  Exponents are inputs, never fit
+parameters.  The 2D lattice uses the classical 3D Ising pair and the 1D
+array the classical 2D Ising pair; the linear size is L = sqrt(N) in 2D
+and L = N in 1D.
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import LSQUnivariateSpline, PchipInterpolator
 from scipy.optimize import brentq
+
+from .lattice import geometry_from_size
 
 # (beta, nu) presets keyed by lattice dimensionality
 EXPONENTS_2D = (0.32642, 0.62997)
@@ -30,37 +35,16 @@ def exponents_for_dimension(dim):
     raise ValueError("dimensionality must be 1 or 2, got %r" % (dim,))
 
 
-def parse_size_label(label):
-    """Site count encoded in a size label: '2x3' -> 6, '4' -> 4."""
-    s = str(label).strip().lower()
-    if "x" in s:
-        a, b = s.split("x")
-        n = int(a) * int(b)
-    else:
-        n = int(s)
-    if n < 1:
-        raise ValueError("size label %r has no sites" % (label,))
-    return n
-
-
-@dataclass(frozen=True)
-class ScalingRecord:
-    size_label: str
-    n_sites: int
-    g: float
-    parity: float
-    entropy: float
-    converged: bool = True
-
-
 class ScalingDataset:
     """Parity/entropy curves per lattice size with an exponent set attached.
 
-    Records flagged unconverged are excluded from every fit unless
-    include_unconverged is set.
+    rows are sweep-store rows (dicts with the CSV column names).  curves is
+    {size_label: (L, G array, parity array, entropy array)} sorted by L, with
+    G deduplicated (last row wins, so resumed sweeps override).  Rows flagged
+    unconverged are left out of every fit unless include_unconverged is set.
     """
 
-    def __init__(self, records, dimensionality, beta=None, nu=None,
+    def __init__(self, rows, dimensionality, beta=None, nu=None,
                  include_unconverged=False):
         if dimensionality not in (1, 2):
             raise ValueError("dimensionality must be 1 or 2")
@@ -68,55 +52,23 @@ class ScalingDataset:
             raise ValueError("give both beta and nu or neither")
         if beta is None:
             beta, nu = exponents_for_dimension(dimensionality)
-        self.records = list(records)
         self.dimensionality = int(dimensionality)
         self.beta = float(beta)
         self.nu = float(nu)
-        self.include_unconverged = bool(include_unconverged)
-
-    @classmethod
-    def from_rows(cls, rows, dimensionality, beta=None, nu=None,
-                  include_unconverged=False):
-        """Build from sweep-store rows (dicts with the CSV column names)."""
-        recs = []
-        for r in rows:
-            label = str(r["size"])
-            recs.append(ScalingRecord(
-                size_label=label,
-                n_sites=parse_size_label(label),
-                g=float(r["G_over_gamma"]),
-                parity=float(r["parity"]),
-                entropy=float(r["entropy"]),
-                converged=_as_bool(r.get("converged", True)),
-            ))
-        return cls(recs, dimensionality, beta, nu, include_unconverged)
-
-    def linear_size(self, n_sites):
-        if self.dimensionality == 1:
-            return float(n_sites)
-        return float(np.sqrt(n_sites))
-
-    def active_records(self):
-        if self.include_unconverged:
-            return list(self.records)
-        return [r for r in self.records if r.converged]
-
-    def curves(self):
-        """{size_label: (L, G array, parity array, entropy array)} sorted by L.
-
-        G deduplicated (last record wins, so resumed sweeps override).
-        """
         groups = {}
-        for r in self.active_records():
-            groups.setdefault(r.size_label, {})[r.g] = r
-        out = {}
+        for r in rows:
+            if include_unconverged or _as_bool(r.get("converged", True)):
+                groups.setdefault(str(r["size"]), {})[
+                    float(r["G_over_gamma"])] = r
+        curves = {}
         for label, by_g in groups.items():
             gs = np.array(sorted(by_g))
-            par = np.array([by_g[g].parity for g in gs])
-            ent = np.array([by_g[g].entropy for g in gs])
-            n = by_g[gs[0]].n_sites
-            out[label] = (self.linear_size(n), gs, par, ent)
-        return dict(sorted(out.items(), key=lambda kv: kv[1][0]))
+            n = geometry_from_size(label).n_sites
+            L = float(n) if dimensionality == 1 else float(np.sqrt(n))
+            curves[label] = (L, gs,
+                             np.array([float(by_g[g]["parity"]) for g in gs]),
+                             np.array([float(by_g[g]["entropy"]) for g in gs]))
+        self.curves = dict(sorted(curves.items(), key=lambda kv: kv[1][0]))
 
 
 def _as_bool(v):
@@ -160,7 +112,7 @@ def rescale(ds, g_c):
     Pure arithmetic, no fitting.
     """
     out = {}
-    for label, (L, gs, par, _) in ds.curves().items():
+    for label, (L, gs, par, _) in ds.curves.items():
         x = (gs - g_c) * L ** (1.0 / ds.nu)
         y = par * L ** (ds.beta / ds.nu)
         out[label] = (x, y, L)
@@ -177,7 +129,7 @@ def find_crossing(ds):
     curves never cross in the common G window are skipped with a warning;
     if every pair is skipped the search fails.
     """
-    curves = ds.curves()
+    curves = ds.curves
     labels = list(curves)
     if len(labels) < 2:
         raise ValueError("need at least 2 sizes to locate a crossing")
@@ -338,12 +290,12 @@ def fit_entropy_peak(ds):
     against log N by least squares.  Two sizes determine the line exactly
     and are flagged under-determined; non-monotone peaks simply lower r².
     """
-    curves = ds.curves()
+    curves = ds.curves
     if len(curves) < 2:
         raise ValueError("need >= 2 sizes for a power-law fit")
     peaks = {}
     for label, (L, gs, _, ent) in curves.items():
-        n = parse_size_label(label)
+        n = geometry_from_size(label).n_sites
         s_max, g_peak = _quadratic_peak(gs, ent)
         if s_max <= 0:
             raise ValueError("size %s has non-positive entropy peak" % label)

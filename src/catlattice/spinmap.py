@@ -32,12 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockSpace, annihilation_op, parity_op
+from .fock import (FockSpace, annihilation_op, embed_site_op, parity_op,
+                   _check_cap)
 from .lattice import build_hamiltonian
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SIGMA_X = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = sp.csr_matrix([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = sp.csr_matrix([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def required_n_max(alpha):
@@ -162,27 +163,16 @@ class SpinModelCoefficients:
                 "total": det + drive + kerr}
 
 
-def _embed_pauli(op, site, n):
-    m = sp.csr_matrix(op)
-    if site > 0:
-        m = sp.kron(sp.identity(2 ** site, format="csr"), m, format="csr")
-    if n - site - 1 > 0:
-        m = sp.kron(m, sp.identity(2 ** (n - site - 1), format="csr"), format="csr")
-    return m
-
-
 def build_xy_hamiltonian(coeffs, geom):
     """H_XY on the lattice over N spins, Hermitian, as a complex CSR matrix."""
     n = geom.n_sites
-    if n > 24:
-        raise ValueError("2^%d spin dimension is past the cap" % n)
-    dim = 2 ** n
-    H = sp.csr_matrix((dim, dim), dtype=complex)
+    _check_cap(2 ** n)
+    H = sp.csr_matrix((2 ** n, 2 ** n), dtype=complex)
     for j in range(n):
-        H = H - coeffs.h_z * _embed_pauli(SIGMA_Z, j, n)
+        H = H - coeffs.h_z * embed_site_op(SIGMA_Z, j, n)
     for b in geom.bonds:
-        sxsx = _embed_pauli(SIGMA_X, b.i, n) @ _embed_pauli(SIGMA_X, b.j, n)
-        sysy = _embed_pauli(SIGMA_Y, b.i, n) @ _embed_pauli(SIGMA_Y, b.j, n)
+        sxsx = embed_site_op(SIGMA_X, b.i, n) @ embed_site_op(SIGMA_X, b.j, n)
+        sysy = embed_site_op(SIGMA_Y, b.i, n) @ embed_site_op(SIGMA_Y, b.j, n)
         H = H - b.weight * (coeffs.c_xx * sxsx + coeffs.c_yy * sysy)
     return H.tocsr()
 

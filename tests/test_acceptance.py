@@ -181,13 +181,13 @@ def _synthetic_rows(g_c=1.2, beta=0.32642, nu=0.62997):
 
 
 def test_criterion_6_scaling_oracles(record_criterion):
-    ds = ScalingDataset.from_rows(_synthetic_rows(), dimensionality=2)
+    ds = ScalingDataset(_synthetic_rows(), dimensionality=2)
     res = find_crossing(ds)
     d_gc = abs(res.g_c - 1.2)
 
     q_true = collapse_quality(ds, g_c=1.2)
-    ds_bad = ScalingDataset.from_rows(_synthetic_rows(), dimensionality=2,
-                                      beta=2 * 0.32642, nu=0.62997)
+    ds_bad = ScalingDataset(_synthetic_rows(), dimensionality=2,
+                            beta=2 * 0.32642, nu=0.62997)
     ratio = collapse_quality(ds_bad, g_c=1.2) / max(q_true, 1e-300)
 
     from catlattice.scaling import fit_entropy_peak
@@ -200,8 +200,7 @@ def test_criterion_6_scaling_oracles(record_criterion):
                              "parity": 0.5, "converged": True,
                              "entropy": 0.7 * n ** kappa
                              - 0.6 * (g - 1.2) ** 2})
-        fit = fit_entropy_peak(ScalingDataset.from_rows(rows,
-                                                        dimensionality=2))
+        fit = fit_entropy_peak(ScalingDataset(rows, dimensionality=2))
         kappa_err = max(kappa_err, abs(fit.kappa - kappa))
 
     passed = d_gc <= 0.01 and ratio >= 10.0 and kappa_err <= 0.005
@@ -235,7 +234,7 @@ def test_criterion_7_desk_scale_trend(record_criterion, tmp_path):
     for r in rows:
         STEADY_ROWS.append(r)
 
-    ds = ScalingDataset.from_rows(rows, dimensionality=1)
+    ds = ScalingDataset(rows, dimensionality=1)
     try:
         res = find_crossing(ds)
         in_window = 1.2 <= res.g_c <= 2.4

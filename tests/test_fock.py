@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from catlattice.fock import (DIM_CAP, DimensionCapError, FockSpace,
                              annihilation_op, embed_site_op, identity_op,
                              number_op, parity_op, total_number_diagonal)
+from catlattice.lattice import ModelParams, build_hamiltonian, chain
+from catlattice.spinmap import SpinModelCoefficients, build_xy_hamiltonian
 
 
 def test_fock_space_dim():
@@ -96,6 +100,32 @@ def test_dimension_cap():
     f = FockSpace(9)
     with pytest.raises(DimensionCapError):
         embed_site_op(number_op(f), 0, 8)
+
+
+QUBIT = FockSpace(1)
+PARAMS = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: embed_site_op(number_op(QUBIT), 0, n),
+    lambda n: total_number_diagonal(QUBIT, n),
+    lambda n: build_hamiltonian(PARAMS, chain(n), QUBIT),
+    lambda n: build_xy_hamiltonian(
+        SpinModelCoefficients.from_params(1.0, PARAMS, chain(n)), chain(n)),
+], ids=["embed_site_op", "total_number_diagonal", "build_hamiltonian",
+        "build_xy_hamiltonian"])
+def test_dimension_cap_before_allocation(build):
+    # 23 two-level sites, 2^23 > DIM_CAP = 2^22: rejected before any array
+    # of the many-body dimension is made (one would take >= 32 MB)
+    assert 2 ** 22 == DIM_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError):
+            build(23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_identity_op():

@@ -44,6 +44,52 @@ def test_one_by_two_is_a_two_site_ring():
     assert g.bonds[0].weight == pytest.approx(2.0)
 
 
+def _torus_bonds(lx, ly):
+    """Bonds of the periodic lx x ly torus, site x * ly + y: per axis, k to
+    k + 1 around the ring, one doubled bond on an extent-2 axis, none on an
+    extent-1 axis; x-bonds first (by y), then y-bonds (by x)."""
+    def axis(e):
+        if e == 1:
+            return []
+        if e == 2:
+            return [(0, 1, 2.0)]
+        return [(k, (k + 1) % e, 1.0) for k in range(e)]
+    return ([(x1 * ly + y, x2 * ly + y, w)
+             for y in range(ly) for x1, x2, w in axis(lx)]
+            + [(x * ly + y1, x * ly + y2, w)
+               for x in range(lx) for y1, y2, w in axis(ly)])
+
+
+def _facts(g):
+    return ([(b.i, b.j, b.weight) for b in g.bonds], g.label, g.n_sites,
+            g.dimensionality)
+
+
+@pytest.mark.parametrize("geom, lx, ly, label", (
+    [pytest.param(chain(n), n, 1, str(n), id="chain%d" % n)
+     for n in range(1, 10)]
+    + [pytest.param(rectangle(a, b), a, b, "%dx%d" % (a, b),
+                    id="rectangle%dx%d" % (a, b))
+       for a in range(1, 6) for b in range(1, 6)]
+    + [pytest.param(geometry_from_size(s), lx, ly, lab, id="size%r" % (s,))
+       for s, lx, ly, lab in (
+           (4, 4, 1, "4"), ("7", 7, 1, "7"), ("1x4", 1, 4, "1x4"),
+           ("4x1", 4, 1, "4x1"), ("2x3", 2, 3, "2x3"), ([1, 5], 1, 5, "1x5"),
+           ((5, 1), 5, 1, "5x1"), ([3, 3], 3, 3, "3x3"))]))
+def test_geometry_facts(geom, lx, ly, label):
+    # every size form is one lx x ly torus; a ring is n x 1 (or 1 x n)
+    assert geom.extents == (lx, ly)
+    assert _facts(geom) == (_torus_bonds(lx, ly), label, lx * ly,
+                            (lx >= 2) + (ly >= 2))
+
+
+def test_no_sites_rejected():
+    with pytest.raises(ValueError, match="extents must be >= 1"):
+        chain(0)
+    with pytest.raises(ValueError, match="extents must be >= 1"):
+        rectangle(0, 3)
+
+
 def test_geometry_from_size_forms():
     assert geometry_from_size(4).label == "4"
     assert geometry_from_size("2x2").label == "2x2"

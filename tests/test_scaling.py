@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from catlattice.scaling import (EXPONENTS_1D, EXPONENTS_2D, ScalingDataset,
-                                ScalingRecord, collapse_quality,
-                                exponents_for_dimension, find_crossing,
-                                fit_entropy_peak, parse_size_label, rescale)
+                                collapse_quality, exponents_for_dimension,
+                                find_crossing, fit_entropy_peak, rescale)
 
 G_C_TRUE = 1.2
 BETA_2D, NU_2D = EXPONENTS_2D
@@ -33,16 +32,6 @@ def synthetic_rows(g_c=G_C_TRUE, beta=BETA_2D, nu=NU_2D, noise=0.0, seed=0):
     return rows
 
 
-def test_parse_size_label():
-    assert parse_size_label("2x3") == 6
-    assert parse_size_label("4") == 4
-    assert parse_size_label(" 5x5 ") == 25
-    with pytest.raises(ValueError):
-        parse_size_label("abc")
-    with pytest.raises(ValueError):
-        parse_size_label("0x3")
-
-
 def test_exponent_tables():
     assert exponents_for_dimension(2) == EXPONENTS_2D == (0.32642, 0.62997)
     assert exponents_for_dimension(1) == EXPONENTS_1D == (0.125, 1.0)
@@ -58,8 +47,8 @@ def test_dataset_curves_sorted_and_deduped():
         # duplicate G on 2x2, later row wins
         {"size": "2x2", "G_over_gamma": 1.0, "parity": 0.55, "entropy": 0.21},
     ]
-    ds = ScalingDataset.from_rows(rows, dimensionality=2)
-    cur = ds.curves()
+    ds = ScalingDataset(rows, dimensionality=2)
+    cur = ds.curves
     assert list(cur) == ["2x2", "3x3"]
     L, gs, par, ent = cur["2x2"]
     assert L == pytest.approx(2.0)
@@ -70,17 +59,19 @@ def test_dataset_curves_sorted_and_deduped():
 def test_unconverged_rows_excluded_by_default():
     rows = synthetic_rows()
     rows[3]["converged"] = False
-    ds = ScalingDataset.from_rows(rows, dimensionality=2)
-    assert len(ds.active_records()) == len(rows) - 1
-    ds2 = ScalingDataset.from_rows(rows, dimensionality=2,
-                                   include_unconverged=True)
-    assert len(ds2.active_records()) == len(rows)
+
+    def n_points(ds):
+        return sum(len(gs) for _, gs, _, _ in ds.curves.values())
+
+    assert n_points(ScalingDataset(rows, dimensionality=2)) == len(rows) - 1
+    assert n_points(ScalingDataset(rows, dimensionality=2,
+                                   include_unconverged=True)) == len(rows)
 
 
 def test_rescale_value_and_inverse():
     rows = [{"size": "2x2", "G_over_gamma": 1.5, "parity": 0.415,
              "entropy": 0.0}]
-    ds = ScalingDataset.from_rows(rows, dimensionality=2)
+    ds = ScalingDataset(rows, dimensionality=2)
     curves = rescale(ds, g_c=G_C_TRUE)
     x, y, L = curves["2x2"]
     # independent hand evaluation of the two scaling transforms
@@ -93,7 +84,7 @@ def test_rescale_value_and_inverse():
 
 
 def test_find_crossing_recovers_synthetic_g_c():
-    ds = ScalingDataset.from_rows(synthetic_rows(), dimensionality=2)
+    ds = ScalingDataset(synthetic_rows(), dimensionality=2)
     res = find_crossing(ds)
     assert res.g_c == pytest.approx(G_C_TRUE, abs=1e-3)
     assert res.uncertainty < 1e-3
@@ -102,57 +93,52 @@ def test_find_crossing_recovers_synthetic_g_c():
 
 
 def test_collapse_quality_discriminates_exponents():
-    ds = ScalingDataset.from_rows(synthetic_rows(), dimensionality=2)
+    ds = ScalingDataset(synthetic_rows(), dimensionality=2)
     good = collapse_quality(ds, g_c=G_C_TRUE)
-    bad_ds = ScalingDataset.from_rows(synthetic_rows(), dimensionality=2,
-                                      beta=2.0 * BETA_2D, nu=NU_2D)
+    bad_ds = ScalingDataset(synthetic_rows(), dimensionality=2,
+                            beta=2.0 * BETA_2D, nu=NU_2D)
     bad = collapse_quality(bad_ds, g_c=G_C_TRUE)
     assert bad / max(good, 1e-300) >= 10.0
 
 
 def test_find_crossing_shift_equivariance():
     shift = 0.35
-    res0 = find_crossing(ScalingDataset.from_rows(
-        synthetic_rows(), dimensionality=2))
-    res1 = find_crossing(ScalingDataset.from_rows(
-        synthetic_rows(g_c=G_C_TRUE + shift), dimensionality=2))
+    res0 = find_crossing(ScalingDataset(synthetic_rows(), dimensionality=2))
+    res1 = find_crossing(ScalingDataset(synthetic_rows(g_c=G_C_TRUE + shift),
+                                        dimensionality=2))
     assert res1.g_c - res0.g_c == pytest.approx(shift, abs=1e-6)
 
 
 def test_no_crossing_raises():
-    # identical parity data for two labels with the same site count can
-    # never produce a transverse crossing after rescaling
-    rows = []
-    gs = np.linspace(0.5, 2.0, 12)
-    for lab in ("a4", "b4"):
-        for g in gs:
-            rows.append({"size": "4", "G_over_gamma": g,
-                         "parity": 0.5, "entropy": 0.0})
-    recs = [ScalingRecord(lab, 4, float(g), 0.5, 0.0, True)
-            for lab in ("a", "b") for g in gs]
-    ds = ScalingDataset(recs, dimensionality=1)
+    # identical parity data for two labels of the same ring ("4" and "1x4")
+    # can never produce a transverse crossing after rescaling
+    rows = [{"size": lab, "G_over_gamma": g, "parity": 0.5, "entropy": 0.0}
+            for lab in ("4", "1x4") for g in np.linspace(0.5, 2.0, 12)]
+    ds = ScalingDataset(rows, dimensionality=1)
     with pytest.raises(RuntimeError):
         find_crossing(ds)
 
 
 def test_collapse_needs_enough_points():
-    recs = [ScalingRecord("2x2", 4, 1.0, 0.5, 0.0, True),
-            ScalingRecord("3x3", 9, 1.0, 0.4, 0.0, True)]
-    ds = ScalingDataset(recs, dimensionality=2)
+    rows = [{"size": "2x2", "G_over_gamma": 1.0, "parity": 0.5,
+             "entropy": 0.0},
+            {"size": "3x3", "G_over_gamma": 1.0, "parity": 0.4,
+             "entropy": 0.0}]
+    ds = ScalingDataset(rows, dimensionality=2)
     with pytest.raises(ValueError):
         collapse_quality(ds, g_c=1.0)
 
 
 def test_collapse_single_size_warns():
     rows = [r for r in synthetic_rows() if r["size"] == "2x2"]
-    ds = ScalingDataset.from_rows(rows, dimensionality=2)
+    ds = ScalingDataset(rows, dimensionality=2)
     with pytest.warns(UserWarning):
         q = collapse_quality(ds, g_c=G_C_TRUE)
     assert q == 0.0
 
 
 def test_collapse_result_round_trip(tmp_path):
-    ds = ScalingDataset.from_rows(synthetic_rows(), dimensionality=2)
+    ds = ScalingDataset(synthetic_rows(), dimensionality=2)
     res = find_crossing(ds)
     back = json.loads(json.dumps(res.to_dict()))
     assert back["g_c"] == res.g_c
@@ -173,7 +159,7 @@ def test_entropy_peak_exponent_recovery(kappa):
             ent = peak - 0.6 * (g - G_C_TRUE) ** 2
             rows.append({"size": lab, "G_over_gamma": g, "parity": 0.5,
                          "entropy": ent, "converged": True})
-    ds = ScalingDataset.from_rows(rows, dimensionality=2)
+    ds = ScalingDataset(rows, dimensionality=2)
     fit = fit_entropy_peak(ds)
     assert fit.kappa == pytest.approx(kappa, abs=5e-3)
     assert fit.prefactor == pytest.approx(0.7, abs=5e-3)
@@ -187,13 +173,13 @@ def test_entropy_peak_constant_gives_zero_exponent():
         for g in (0.9, 1.0, 1.1):
             rows.append({"size": lab, "G_over_gamma": g, "parity": 0.5,
                          "entropy": 0.42, "converged": True})
-    fit = fit_entropy_peak(ScalingDataset.from_rows(rows, dimensionality=2))
+    fit = fit_entropy_peak(ScalingDataset(rows, dimensionality=2))
     assert fit.kappa == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0)
 
 
 def test_entropy_peak_two_sizes_flagged():
     rows = [r for r in synthetic_rows() if r["size"] in ("2x2", "3x3")]
-    ds = ScalingDataset.from_rows(rows, dimensionality=2)
+    ds = ScalingDataset(rows, dimensionality=2)
     fit = fit_entropy_peak(ds)
     assert fit.underdetermined

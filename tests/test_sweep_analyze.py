@@ -266,6 +266,28 @@ def test_infer_dimensionality():
     assert infer_dimensionality([{"size": "3"}, {"size": "2x2"}]) == 2
 
 
+def test_one_by_l_sizes_are_rings():
+    # a 1 x L lattice is the L-site ring: a store of them alone is 1D, and
+    # one 2x2 among them makes it 2D
+    assert infer_dimensionality([{"size": "1x4"}, {"size": "1x6"}]) == 1
+    assert infer_dimensionality([{"size": "1x2"}, {"size": "2x2"}]) == 2
+
+
+def test_analyze_one_by_l_store_as_1d(tmp_path):
+    # planted 1D scaling form, Pi L^(beta/nu) = f((G - G_c) L^(1/nu)), L = N
+    rows = []
+    for n in (4, 6, 8):
+        for g in np.linspace(0.5, 3.0, 41):
+            x = (g - 1.7) * n
+            rows.append({"size": "1x%d" % n, "G_over_gamma": g,
+                         "parity": n ** -0.125 * (1.0 - np.tanh(0.8 * x)),
+                         "entropy": 0.1 * n, "converged": True})
+    out = analyze_rows(rows, str(tmp_path))
+    assert out["dimensionality"] == 1
+    assert out["exponents"] == (0.125, 1.0)
+    assert out["collapse_result"].g_c == pytest.approx(1.7, abs=1e-2)
+
+
 def synthetic_store_rows():
     rows = []
     gs = np.linspace(0.6, 1.8, 15)
