@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,8 +18,39 @@ import numpy as np
 from .analyze import AnalysisError, analyze_rows
 from .config import ENV_OUTPUT_DIR, ConfigError, RunConfig, load_preset, \
     preset_names
-from .store import SweepStore, read_rows
+from .lattice import geometry_from_size
+from .store import read_rows
 from .sweep import run_sweep, solve_point
+
+
+def _checked(cast, ok, rule):
+    """An argparse type: the text cast, if ok accepts it; else exit code 2
+    and "must be <rule>" on stderr."""
+    def parse(text):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("must be %s, not %r" % (rule, text))
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_nonnegative = _checked(float, lambda x: math.isfinite(x) and x >= 0,
+                        "a finite number >= 0")
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0,
+                     "a finite number > 0")
+_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+
+
+def _size(text):
+    """An argparse type: the lattice of a size, e.g. 4 or 2x2."""
+    try:
+        return geometry_from_size(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError("bad size %r: %s" % (text, e))
 
 
 def _load_config(args):
@@ -38,12 +70,7 @@ def _add_config_args(p):
 
 def cmd_solve(args):
     cfg = _load_config(args)
-    geoms = {g.label: g for g in cfg.geometries()}
-    if args.size:
-        from .lattice import geometry_from_size
-        geom = geometry_from_size(args.size)
-    else:
-        geom = next(iter(geoms.values()))
+    geom = args.size or cfg.geometries()[0]
     g = args.g if args.g is not None else cfg.g_values[0]
     rec = solve_point(cfg, geom, g)
     rec.update({"size": geom.label, "G_over_gamma": g,
@@ -170,10 +197,10 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve a single (size, G) point")
     _add_config_args(p)
-    p.add_argument("--size", help="size, e.g. 4 or 2x2 "
-                                  "(default: first in config)")
-    p.add_argument("--g", type=float, help="drive G/gamma "
-                                           "(default: first in config)")
+    p.add_argument("--size", type=_size, help="size, e.g. 4 or 2x2 "
+                                              "(default: first in config)")
+    p.add_argument("--g", type=_nonnegative,
+                   help="drive G/gamma (default: first in config)")
     p.add_argument("--out", help="also write the record JSON here")
     p.set_defaults(func=cmd_solve)
 
@@ -190,8 +217,8 @@ def build_parser():
                                      "(default: <store dir>/analysis)")
     p.add_argument("--dim", type=int, choices=(1, 2),
                    help="lattice dimensionality (default: inferred)")
-    p.add_argument("--beta", type=float, help="override exponent beta")
-    p.add_argument("--nu", type=float, help="override exponent nu")
+    p.add_argument("--beta", type=_finite, help="override exponent beta")
+    p.add_argument("--nu", type=_finite, help="override exponent nu")
     p.add_argument("--include-unconverged", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -202,15 +229,16 @@ def build_parser():
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("map-spin", help="cat-basis spin-model report")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--j", type=float, required=True)
-    p.add_argument("--g", type=float, default=1.0)
-    p.add_argument("--delta", type=float,
+    p.add_argument("--u", type=_nonnegative, required=True)
+    p.add_argument("--j", type=_finite, required=True)
+    p.add_argument("--g", type=_nonnegative, default=1.0)
+    p.add_argument("--delta", type=_finite,
                    help="detuning (default: -|J|)")
-    p.add_argument("--eta", type=float, help="two-photon loss (default 1)")
-    p.add_argument("--alpha-sq", type=float,
+    p.add_argument("--eta", type=_nonnegative,
+                   help="two-photon loss (default 1)")
+    p.add_argument("--alpha-sq", type=_positive,
                    help="use this |alpha|^2 instead of estimating")
-    p.add_argument("--n-sites", type=int, default=2)
+    p.add_argument("--n-sites", type=_count, default=2)
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(func=cmd_map_spin)
     return ap

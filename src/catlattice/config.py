@@ -1,13 +1,15 @@
 """Run configuration: JSON in, validated dataclass out.
 
 A config is one human-editable JSON document.  All energies and rates are
-in units of gamma.  Validation aggregates every complaint into a single
+in units of gamma, and every number must be finite (JSON parsers accept
+NaN and Infinity).  Validation aggregates every complaint into a single
 error instead of failing on the first.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -140,7 +142,13 @@ class RunConfig:
         return cls.from_dict(d)
 
     def validate(self):
-        errors = []
+        errors = ["%s must be finite" % key for key, value in (
+            ("u", self.u), ("j_hop", self.j_hop), ("gamma", self.gamma),
+            ("eta", self.eta), ("delta", self.delta),
+            ("corner.drift_tol", self.corner.drift_tol))
+            if value is not None and not math.isfinite(value)]
+        if not all(math.isfinite(g) for g in self.g_values):
+            errors.append("g_values must be finite")
         if self.gamma <= 0:
             errors.append("gamma must be > 0")
         if self.u < 0:
@@ -171,8 +179,9 @@ class RunConfig:
             errors.append("corner.drift_tol must be >= 0")
         if not self.corner.m_list or any(m < 1 for m in self.corner.m_list):
             errors.append("corner.m_list must be nonempty positive")
-        if sorted(self.corner.m_list) != list(self.corner.m_list):
-            errors.append("corner.m_list must be ascending")
+        m_list = self.corner.m_list
+        if any(a >= b for a, b in zip(m_list, m_list[1:])):
+            errors.append("corner.m_list must be strictly ascending")
         if self.corner.leaf_sites_max < 1:
             errors.append("corner.leaf_sites_max must be >= 1")
         if not self.resonant_convention and self.delta is None:

@@ -58,9 +58,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import annihilation_op, embed_site_op, total_number_diagonal
-from .lattice import lattice_hamiltonian
-from .liouville import (DensityMatrix, SteadyStateResult,
-                        steady_state_direct)
+from .lattice import jump_operators, lattice_hamiltonian
+from .liouville import SteadyStateResult, steady_state_direct
 
 
 # Block weights at or below WEIGHT_FLOOR times the largest are solver noise
@@ -90,24 +89,21 @@ class CornerBasis:
     m: int
     idx_a: np.ndarray
     idx_b: np.ndarray
-    weights: np.ndarray
     vecs_a: np.ndarray
     vecs_b: np.ndarray
     kept_weight: float
     parity: np.ndarray
 
 
-def _eig_descending(rho, parity=None):
+def _eig_descending(rho, parity):
     """Eigendecomposition of a density matrix inside its parity sectors.
 
-    parity holds the +-1 parity of each basis state (None: all even).  One
-    eigh per sector, its eigenvectors zero-padded to the full dimension, so
-    every eigenvector is parity-definite.  Returns the weights descending,
-    the eigenvectors as columns and the parity of each.
+    parity holds the +-1 parity of each basis state.  One eigh per sector,
+    its eigenvectors zero-padded to the full dimension, so every
+    eigenvector is parity-definite.  Returns the weights descending, the
+    eigenvectors as columns and the parity of each.
     """
     d = rho.shape[0]
-    if parity is None:
-        parity = np.ones(d)
     p = np.zeros(d)
     v = np.zeros((d, d), dtype=complex)
     s = np.zeros(d)
@@ -126,7 +122,7 @@ def _eig_descending(rho, parity=None):
     return p, v, s
 
 
-def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None):
+def merge_spaces(rho_a, rho_b, m, parity_a, parity_b):
     """Select the m most probable product eigenstates of two solved blocks.
 
     Ties at the cut are kept whole: if the m-th and (m+1)-th weights agree to
@@ -138,14 +134,12 @@ def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None):
     that covers every product keeps them all, since the full product basis
     is exact whatever its vectors.  Otherwise m is a lower bound on the
     returned corner dimension.  parity_a and parity_b are the +-1 parities
-    of the blocks' basis states (None: all even); see _eig_descending.
+    of the blocks' basis states; see _eig_descending.
     """
     if m < 1:
         raise ValueError("corner dimension must be >= 1")
-    mat_a = rho_a.mat if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a)
-    mat_b = rho_b.mat if isinstance(rho_b, DensityMatrix) else np.asarray(rho_b)
-    p, va, sa = _eig_descending(mat_a, parity_a)
-    q, vb, sb = _eig_descending(mat_b, parity_b)
+    p, va, sa = _eig_descending(rho_a.mat, parity_a)
+    q, vb, sb = _eig_descending(rho_b.mat, parity_b)
     w = np.outer(p, q).reshape(-1)
     order = np.argsort(-w, kind="stable")
     full = w.size
@@ -158,13 +152,13 @@ def merge_spaces(rho_a, rho_b, m, parity_a=None, parity_b=None):
         while cut < full and abs(w[order[cut]] - wcut) <= TIE_REL * wcut:
             cut += 1
     sel = order[:cut]
-    nb = mat_b.shape[0]
+    nb = rho_b.dim
     idx_a = sel // nb
     idx_b = sel % nb
     total = w.sum()
     kept = float(w[sel].sum() / total) if total > 0 else 1.0
-    return CornerBasis(m=cut, idx_a=idx_a, idx_b=idx_b, weights=w[sel],
-                       vecs_a=va, vecs_b=vb, kept_weight=kept,
+    return CornerBasis(m=cut, idx_a=idx_a, idx_b=idx_b, vecs_a=va,
+                       vecs_b=vb, kept_weight=kept,
                        parity=sa[idx_a] * sb[idx_b])
 
 
@@ -258,7 +252,7 @@ def _merge_blocks(block_a, block_b, origin_a, origin_b, m, geom, params):
     """Corner-merge two solved blocks whose regions start at the lattice
     sites origin_a and origin_b; the result's sites count from origin_a."""
     basis = merge_spaces(block_a.result.rho, block_b.result.rho, m,
-                         parity_a=block_a.parity, parity_b=block_b.parity)
+                         block_a.parity, block_b.parity)
     eye_a = np.eye(block_a.dim)
     eye_b = np.eye(block_b.dim)
     h = project_pair(block_a.h, eye_b, basis) + project_pair(eye_a, block_b.h, basis)
@@ -294,9 +288,7 @@ def _merge_blocks(block_a, block_b, origin_a, origin_b, m, geom, params):
 
 def _solve_block(blk, params):
     """Solve a block in place with the shared steady-state kernel."""
-    jumps = [np.sqrt(params.gamma) * a for a in blk.a_ops]
-    if params.eta > 0:
-        jumps += [np.sqrt(params.eta) * a2 for a2 in blk.a2_ops]
+    jumps = jump_operators(params, blk.a_ops, blk.a2_ops)
     blk.result = steady_state_direct(blk.h, jumps, parity=blk.parity)
 
 
@@ -416,7 +408,8 @@ def corner_steady_state(geom, params, fock, m, leaf_sites_max=2, blocks=None):
 
 
 def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
-    """Repeat the corner run over ascending m until parity and entropy settle.
+    """Repeat the corner run over strictly ascending m until parity and
+    entropy settle (a repeated m would repeat its run and fake a drift of 0).
 
     Returns (run, report).  The first run whose parity and entropy both moved
     less than tol from the previous m is returned with converged=True;
@@ -425,8 +418,8 @@ def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
     are solved once for the whole m list.
     """
     from .observables import parity_expectation, von_neumann_entropy
-    if not m_list or list(m_list) != sorted(m_list):
-        raise ValueError("m_list must be nonempty and ascending")
+    if not m_list or any(a >= b for a, b in zip(m_list, m_list[1:])):
+        raise ValueError("m_list must be nonempty and strictly ascending")
     report = []
     prev = None
     blocks = {}

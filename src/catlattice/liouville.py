@@ -28,8 +28,8 @@ stacking, vec(rho)[i*D + j] = rho[i, j], under which
 
 since vec(A X B) = (A (x) B^T) vec(X) in this convention: a shift-inverted
 Arnoldi eigensolve targeting the zero eigenvalue, and brute-force RK4 time
-integration.  There is no method dispatch: solve_steady_state is the
-kernel, and the oracles are called by name.
+integration.  There is no method dispatch: solve_steady_state(H, jumps) is
+the kernel, and the oracles are called by name.
 """
 
 import time
@@ -75,17 +75,6 @@ class DensityMatrix:
         if self._eigs is None:
             self._eigs = np.linalg.eigvalsh(self.mat)
         return self._eigs
-
-    def validate(self):
-        dev = np.abs(self.mat - self.mat.conj().T).max()
-        if dev > 1e-10:
-            raise ValueError("not Hermitian: max|rho - rho^dag| = %g" % dev)
-        tr = self.mat.trace()
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError("trace deviates from 1 by %g" % abs(tr - 1.0))
-        if self.eigenvalues().min() < -1e-8:
-            raise ValueError("negative eigenvalue %g" % self.eigenvalues().min())
-        return self
 
 
 @dataclass
@@ -374,22 +363,21 @@ def spectral_radius_bound(liou):
 
 
 def time_evolve(rho0, liou, t_final):
-    """Fixed-step RK4 integration of d rho/dt = L[rho].
+    """Fixed-step RK4 integration of d rho/dt = L[rho] from the array rho0.
 
     The step is 2.0 / bound(spectral radius), shortened to divide t_final
     evenly, inside RK4's stability region.  Trace drift beyond 1e-8 aborts:
     that signals an unstable step, not a tolerable inaccuracy.
     """
     D = liou.dim
-    mat0 = rho0.mat if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    if mat0.shape != (D, D):
+    if rho0.shape != (D, D):
         raise ValueError("rho0 dimension mismatch")
     radius = spectral_radius_bound(liou)
     if radius == 0.0:
-        return DensityMatrix(mat0.copy())
+        return DensityMatrix(rho0.copy())
     dt = 2.0 / radius
     L = liou.sup
-    x = mat0.reshape(-1).astype(complex)
+    x = rho0.reshape(-1).astype(complex)
     n_steps = int(np.ceil(t_final / dt))
     dt = t_final / n_steps
     check_every = max(1, n_steps // 64)
@@ -407,25 +395,25 @@ def time_evolve(rho0, liou, t_final):
     return DensityMatrix(_finalize(x, D))
 
 
-def steady_state_time(liou, t_final=60.0):
-    """Long-time RK4 evolution from the vacuum |0><0| packaged as a
+def steady_state_time(liou):
+    """RK4 evolution from the vacuum |0><0| to t = 60, packaged as a
     SteadyStateResult (oracle use)."""
     t0 = time.time()
     D = liou.dim
     rho0 = np.zeros((D, D), dtype=complex)
     rho0[0, 0] = 1.0
-    rho = time_evolve(rho0, liou, t_final)
+    rho = time_evolve(rho0, liou, 60.0)
     res = _residual(liou, rho.mat)
     return SteadyStateResult(rho=rho, residual=res, method="time",
                              wall_time=time.time() - t0)
 
 
-def solve_steady_state(H, jumps, parity=None):
-    """Steady state of H and jumps by the kernel steady_state_direct, for
-    direct calls.  The oracles steady_state_eigen and steady_state_time
-    take the vectorized Liouvillian and are called by name.  A sweep does
-    not come through here: it solves an exact point as the corner run whose
-    one leaf is the whole lattice (see catlattice.sweep), with the same
-    kernel.
+def solve_steady_state(H, jumps):
+    """Steady state of H and jumps by the kernel steady_state_direct on one
+    sector of every state.  The oracles steady_state_eigen and
+    steady_state_time take the vectorized Liouvillian and are called by
+    name.  A sweep does not come through here: it solves an exact point as
+    the corner run whose one leaf is the whole lattice (see
+    catlattice.sweep), with the same kernel.
     """
-    return steady_state_direct(H, jumps, parity=parity)
+    return steady_state_direct(H, jumps)

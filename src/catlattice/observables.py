@@ -1,4 +1,4 @@
-"""Steady-state observables: parity, von Neumann entropy, densities, correlators."""
+"""Observables of a DensityMatrix: parity, von Neumann entropy, densities, correlators."""
 
 import numpy as np
 
@@ -6,7 +6,7 @@ import numpy as np
 def parity_expectation(rho, pi_op):
     """Tr(rho Pi) for Pi a matrix or the +-1 vector of its diagonal.  The
     imaginary part must vanish (to 1e-10); it is checked, then dropped."""
-    mat = rho.mat if hasattr(rho, "mat") else np.asarray(rho)
+    mat = rho.mat
     if pi_op.shape[0] != mat.shape[0]:
         raise ValueError("operator dimension %d does not match state dimension %d"
                          % (pi_op.shape[0], mat.shape[0]))
@@ -20,10 +20,7 @@ def parity_expectation(rho, pi_op):
 
 def von_neumann_entropy(rho):
     """S = -sum lambda log lambda (natural log) over eigenvalues above 1e-14."""
-    if hasattr(rho, "eigenvalues"):
-        ev = rho.eigenvalues()
-    else:
-        ev = np.linalg.eigvalsh(np.asarray(rho))
+    ev = rho.eigenvalues()
     if ev.min() < -1e-8:
         raise ValueError("state has negative eigenvalue %g" % ev.min())
     ev = ev[ev > 1e-14]
@@ -32,8 +29,7 @@ def von_neumann_entropy(rho):
 
 
 def expectation(rho, op):
-    mat = rho.mat if hasattr(rho, "mat") else np.asarray(rho)
-    return complex((op @ mat).trace())
+    return complex((op @ rho.mat).trace())
 
 
 def site_density(rho, number_ops):
@@ -52,8 +48,6 @@ def correlation(rho, a_ops, j, jp):
 
 def trace_distance(rho_a, rho_b):
     """T(a, b) = ||a - b||_1 / 2 for Hermitian density matrices."""
-    ma = rho_a.mat if hasattr(rho_a, "mat") else np.asarray(rho_a)
-    mb = rho_b.mat if hasattr(rho_b, "mat") else np.asarray(rho_b)
-    ev = np.linalg.eigvalsh(ma - mb)
+    ev = np.linalg.eigvalsh(rho_a.mat - rho_b.mat)
     return 0.5 * float(np.abs(ev).sum())
 

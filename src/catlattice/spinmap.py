@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize_scalar
 
 from .fock import (FockSpace, annihilation_op, embed_site_op, parity_op,
                    _check_cap)
@@ -71,8 +72,6 @@ def coherent_vector(alpha, fock):
 class CatBasis:
     plus: np.ndarray      # |C^+>, unit-normalized
     minus: np.ndarray     # |C^->
-    n_plus: float         # norms of the even/odd components of |alpha>
-    n_minus: float
 
 
 def cat_states(alpha, fock):
@@ -98,8 +97,7 @@ def cat_states(alpha, fock):
     no = np.linalg.norm(odd)
     if no == 0:
         raise ValueError("odd cat component vanished; increase n_max or alpha")
-    return CatBasis(plus=even / ne, minus=odd / no, n_plus=float(ne),
-                    n_minus=float(no))
+    return CatBasis(plus=even / ne, minus=odd / no)
 
 
 def annihilation_on_cats(basis):
@@ -208,12 +206,13 @@ def estimate_alpha(params, fock):
     """Extract alpha from the single-site steady state.
 
     The dominant parity-even eigenvector of the steady state is matched
-    against |C_alpha^+> and |alpha| maximizes the overlap (a 60-point scan
-    of [1e-3, max(2 sqrt(<n> + 1/2), 1/2)] on that eigenvector, then 40
-    golden-section steps).  The phase of alpha is fixed beforehand from
-    <a^2> on that eigenvector, since a^2 |C_alpha^+> = alpha^2 |C_alpha^+>
-    holds exactly for a cat; a real scan alone would miss drives whose
-    steady-state amplitude is complex.  Meaningful in the regime where the
+    against |C_alpha^+> and |alpha| maximizes the overlap: a 60-point scan
+    of [1e-3, max(2 sqrt(<n> + 1/2), 1/2)] on that eigenvector, then
+    scipy's bounded minimize_scalar (xatol 1e-10) between the scan's two
+    neighbours of its best point.  The phase of alpha is fixed beforehand
+    from <a^2> on that eigenvector, since a^2 |C_alpha^+> = alpha^2
+    |C_alpha^+> holds exactly for a cat; a real scan alone would miss drives
+    whose steady-state amplitude is complex.  Meaningful in the regime where the
     steady state is a well-formed cat mixture (strong two-photon drive);
     below it the overlap is maximized by alpha -> 0 and the result simply
     reports a near-vacuum state.  Returns complex alpha.
@@ -247,33 +246,14 @@ def estimate_alpha(params, fock):
     alpha_max = max(2.0 * np.sqrt(nbar + 0.5), 0.5)
 
     def overlap(a):
-        if a <= 0:
-            return 0.0
-        c = coherent_vector(a * ray, fock)
-        even = c.copy()
+        # a > 0 on the whole window, so the even part never vanishes
+        even = coherent_vector(a * ray, fock)
         even[1::2] = 0.0
-        nrm = np.linalg.norm(even)
-        if nrm == 0:
-            return 0.0
-        return abs(np.vdot(even / nrm, best))
+        return abs(np.vdot(even, best)) / np.linalg.norm(even)
 
     alphas = np.linspace(1e-3, alpha_max, 60)
-    vals = [overlap(a) for a in alphas]
-    k = int(np.argmax(vals))
-    lo = alphas[max(k - 1, 0)]
-    hi = alphas[min(k + 1, len(alphas) - 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = overlap(c1), overlap(c2)
-    for _ in range(40):
-        if f1 >= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = overlap(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = overlap(c2)
-    return 0.5 * (a + b) * ray
+    k = int(np.argmax([overlap(a) for a in alphas]))
+    bracket = (alphas[max(k - 1, 0)], alphas[min(k + 1, len(alphas) - 1)])
+    fit = minimize_scalar(lambda a: -overlap(a), bounds=bracket,
+                          method="bounded", options={"xatol": 1e-10})
+    return fit.x * ray

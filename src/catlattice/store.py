@@ -74,11 +74,9 @@ class SweepStore:
             fh.flush()
         self._remember(rec)
 
-    def to_csv(self, path=None):
-        """Write the derived CSV view; returns the path."""
-        if path is None:
-            base, _ = os.path.splitext(self.path)
-            path = base + ".csv"
+    def to_csv(self):
+        """Write the derived CSV view next to the store; returns its path."""
+        path = os.path.splitext(self.path)[0] + ".csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_COLUMNS)

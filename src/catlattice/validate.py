@@ -64,12 +64,9 @@ MAPPING_TOL = 1e-8
 SYMMETRY_TOL = 1e-6
 
 
-def _check(name, value, tol, note=None):
-    entry = {"name": name, "value": float(value), "tol": float(tol),
-             "passed": bool(value <= tol)}
-    if note:
-        entry["note"] = note
-    return entry
+def _check(name, value, tol):
+    return {"name": name, "value": float(value), "tol": float(tol),
+            "passed": bool(value <= tol)}
 
 
 def _group(name, checks, extra=None):

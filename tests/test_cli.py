@@ -96,6 +96,41 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, text):
     assert err.startswith("invalid config: ") and err.count("\n") == 1
 
 
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(MINI, gamma=float("nan"))))
+    rc = main(["solve", "-c", str(bad)])
+    assert rc == 2
+    assert "gamma must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["solve", "--size", "0"], "argument --size: bad size '0'"),
+    (["solve", "--size", "2y2"], "argument --size: bad size '2y2'"),
+    (["solve", "--g", "nan"], "argument --g: must be a finite number >= 0"),
+    (["solve", "--g", "-1"], "argument --g: must be a finite number >= 0"),
+    (["map-spin", "--u", "-5", "--j", "1"],
+     "argument --u: must be a finite number >= 0"),
+    (["map-spin", "--u", "5", "--j", "1", "--n-sites", "0"],
+     "argument --n-sites: must be an integer >= 1"),
+    (["map-spin", "--u", "5", "--j", "1", "--alpha-sq", "-1"],
+     "argument --alpha-sq: must be a finite number > 0"),
+    (["map-spin", "--u", "5", "--j", "1", "--alpha-sq", "0"],
+     "argument --alpha-sq: must be a finite number > 0"),
+], ids=["size_zero", "size_malformed", "g_nan", "g_negative", "u_negative",
+        "n_sites_zero", "alpha_sq_negative", "alpha_sq_zero"])
+def test_bad_cli_argument_exits_2(mini_config, capsys, argv, complaint):
+    # a bad argument gets the checks a config value gets: exit code 2 and
+    # the complaint on stderr, before anything is solved
+    if argv[0] == "solve":
+        argv = argv + ["-c", mini_config]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert complaint in out.err and out.out == ""
+
+
 def test_unknown_preset_exits_2(capsys):
     rc = main(["solve", "-p", "fig9"])
     assert rc == 2

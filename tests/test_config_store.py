@@ -130,6 +130,35 @@ def test_negative_tolerances_are_config_errors(section, field):
     assert getattr(getattr(cfg, section), field) == 0
 
 
+@pytest.mark.parametrize("extra, problems", [
+    ({"g_values": [1.0, float("nan")]}, ["g_values must be finite"]),
+    ({"gamma": float("nan")}, ["gamma must be finite"]),
+    ({"u": float("inf"), "corner": {"drift_tol": float("nan")}},
+     ["u must be finite", "corner.drift_tol must be finite"]),
+    ({"j_hop": float("-inf")}, ["j_hop must be finite"]),
+    ({"resonant_convention": False, "delta": float("nan"),
+      "eta": float("inf")}, ["eta must be finite", "delta must be finite"]),
+], ids=["g_values_nan", "gamma_nan", "u_inf_drift_tol_nan", "j_hop_inf",
+        "eta_delta"])
+def test_non_finite_numbers_are_config_errors(tmp_path, extra, problems):
+    # json.load parses NaN and Infinity; each is a complaint naming its
+    # field, not a parity error from the solver later
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINIMAL, **extra)))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.load(path)
+    assert err.value.problems == problems
+
+
+@pytest.mark.parametrize("m_list", [[16, 16], [16, 32, 32], [32, 16]],
+                         ids=["repeated", "repeated_last", "descending"])
+def test_m_list_must_be_strictly_ascending(m_list):
+    # a repeated M repeats its corner run and fakes a drift of 0.0
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(dict(MINIMAL, corner={"m_list": m_list}))
+    assert err.value.problems == ["corner.m_list must be strictly ascending"]
+
+
 def test_resonant_convention_derived_parameters():
     cfg = RunConfig.from_dict(dict(MINIMAL))
     assert cfg.effective_delta() == -20.0

@@ -18,23 +18,36 @@ from catlattice.observables import (parity_expectation, trace_distance,
                                     von_neumann_entropy)
 
 
+def _even(d):
+    # the parity of d basis states that are all even
+    return np.ones(d)
+
+
+def _kept_pairs(basis):
+    # (i, j) of each kept product |phi_i>_A (x) |psi_j>_B, the blocks'
+    # eigenvectors counted from the most probable
+    return [(int(i), int(j)) for i, j in zip(basis.idx_a, basis.idx_b)]
+
+
 def test_merge_keeps_most_probable_products():
     rho_a = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
     rho_b = DensityMatrix(np.diag([0.8, 0.2]).astype(complex))
-    basis = merge_spaces(rho_a, rho_b, 2)
+    basis = merge_spaces(rho_a, rho_b, 2, _even(2), _even(2))
     # product weights: 0.72, 0.18, 0.08, 0.02 -> keep (0,0) and (0,1)
     assert basis.m == 2
-    assert basis.weights[0] == pytest.approx(0.72)
-    assert basis.weights[1] == pytest.approx(0.18)
+    assert _kept_pairs(basis) == [(0, 0), (0, 1)]
+    assert basis.kept_weight == pytest.approx(0.72 + 0.18)
 
 
 def test_merge_tie_expansion():
     # degenerate second/third weights: truncating at m=2 must widen to 3
     rho_a = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
     rho_b = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
-    basis = merge_spaces(rho_a, rho_b, 2)
+    basis = merge_spaces(rho_a, rho_b, 2, _even(2), _even(2))
     assert basis.m == 3
-    assert basis.weights[1] == pytest.approx(basis.weights[2])
+    assert _kept_pairs(basis)[0] == (0, 0)
+    assert sorted(_kept_pairs(basis)[1:]) == [(0, 1), (1, 0)]
+    assert basis.kept_weight == pytest.approx(0.81 + 2 * 0.09)
 
 
 def test_full_merge_is_exact_projection():
@@ -46,7 +59,7 @@ def test_full_merge_is_exact_projection():
         return DensityMatrix(r / r.trace())
 
     rho_a, rho_b = random_rho(3), random_rho(4)
-    basis = merge_spaces(rho_a, rho_b, 12)
+    basis = merge_spaces(rho_a, rho_b, 12, _even(3), _even(4))
     assert basis.m == 12
     assert basis.kept_weight == pytest.approx(1.0)
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -68,13 +81,13 @@ def test_merge_never_keeps_zero_weight_products():
     # asked for, and noise-level weights count as zero
     rho_a = DensityMatrix(np.diag([1.0, 1e-15, 0.0]).astype(complex))
     rho_b = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    basis = merge_spaces(rho_a, rho_b, 4)
+    basis = merge_spaces(rho_a, rho_b, 4, _even(3), _even(2))
     assert basis.m == 1
     assert basis.kept_weight == pytest.approx(1.0)
     # the full product basis is exact, so it is kept whole
-    assert merge_spaces(rho_a, rho_b, 6).m == 6
+    assert merge_spaces(rho_a, rho_b, 6, _even(3), _even(2)).m == 6
     rho_b = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
-    assert merge_spaces(rho_a, rho_b, 4).m == 2
+    assert merge_spaces(rho_a, rho_b, 4, _even(3), _even(2)).m == 2
 
 
 def test_merge_keeps_parity_sectors_apart():
@@ -83,14 +96,14 @@ def test_merge_keeps_parity_sectors_apart():
     par = np.array([1.0, -1.0, 1.0])
     rho = DensityMatrix(np.array([[0.4, 0.0, 0.1], [0.0, 0.2, 0.0],
                                   [0.1, 0.0, 0.4]], dtype=complex))
-    basis = merge_spaces(rho, rho, 9, parity_a=par, parity_b=par)
+    basis = merge_spaces(rho, rho, 9, par, par)
     pi = np.kron(par, par)
     for k in range(basis.m):
         v = np.kron(basis.vecs_a[:, basis.idx_a[k]],
                     basis.vecs_b[:, basis.idx_b[k]])
         assert np.array_equal(pi * v, basis.parity[k] * v)
     with pytest.raises(ValueError):
-        merge_spaces(rho, rho, 2, parity_a=np.array([1.0, 0.0, 1.0]))
+        merge_spaces(rho, rho, 2, np.array([1.0, 0.0, 1.0]), par)
 
 
 def test_pair_projection_beats_product_of_projections():
@@ -99,7 +112,7 @@ def test_pair_projection_beats_product_of_projections():
     rng = np.random.default_rng(9)
     rho_a = DensityMatrix(np.diag([0.6, 0.3, 0.1]).astype(complex))
     rho_b = DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))
-    basis = merge_spaces(rho_a, rho_b, 4)
+    basis = merge_spaces(rho_a, rho_b, 4, _even(3), _even(3))
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     pair = project_pair(x, y, basis)
@@ -298,6 +311,20 @@ def test_convergence_sweep_rejects_unsorted():
     # no M means no run to return: a ValueError, not an UnboundLocalError
     with pytest.raises(ValueError, match="nonempty"):
         convergence_sweep(chain(2), p, f, [])
+
+
+@pytest.mark.parametrize("m_list", [[16, 16], [16, 32, 32]],
+                         ids=["repeated", "repeated_last"])
+def test_convergence_sweep_rejects_repeated_m(m_list):
+    # a repeated M repeats its run, and the drift of 0.0 between the two
+    # would read as converged; this model settles only at M=64
+    f = FockSpace(3)
+    p = ModelParams.resonant(u=100.0, j_hop=50.0, g=4.0)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        convergence_sweep(chain(4), p, f, m_list)
+    run, report = convergence_sweep(chain(4), p, f, [16, 32, 64])
+    assert run.converged and report[1]["drift"] > 1e-3
+    assert report[-1]["m"] == 64
 
 
 def test_truncated_corner_tracks_exact_three_site():

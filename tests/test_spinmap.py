@@ -32,11 +32,12 @@ def test_cat_states_orthonormal_and_parity_definite():
 
 
 def test_cat_norm_ratio_closed_form():
-    # N_- / N_+ = sqrt(tanh |alpha|^2)
-    f = FockSpace(25)
-    basis = cat_states(1.0, f)
-    assert basis.n_minus / basis.n_plus == pytest.approx(
-        np.sqrt(np.tanh(1.0)), abs=1e-12)
+    # N_- / N_+ = sqrt(tanh |alpha|^2), N+- the norms of the even and odd
+    # components of |alpha>
+    c = coherent_vector(1.0, FockSpace(25))
+    n_plus, n_minus = np.linalg.norm(c[0::2]), np.linalg.norm(c[1::2])
+    assert n_minus / n_plus == pytest.approx(np.sqrt(np.tanh(1.0)),
+                                             abs=1e-12)
 
 
 def test_cat_states_need_adequate_truncation():
@@ -137,6 +138,19 @@ def test_estimate_alpha_recovers_cat_amplitude():
     par = np.where(np.arange(f.dim) % 2 == 0, 1.0, -1.0)
     vec = v[:, -1] if (par * np.abs(v[:, -1]) ** 2).sum() > 0 else v[:, -2]
     assert abs(np.vdot(basis.plus, vec)) > 0.99
+
+
+@pytest.mark.parametrize("params, n_max, alpha", [
+    (ModelParams(delta=-20.0, u=40.0, g=120.0, j_hop=20.0), 24,
+     0.019283228159 - 1.542899255431j),
+    (ModelParams(delta=-10.0, u=20.0, g=30.0 * (0.6 + 0.8j), j_hop=10.0), 30,
+     0.443420768802 - 0.834084734099j),
+], ids=["real_drive", "complex_drive"])
+def test_estimate_alpha_anchored(params, n_max, alpha):
+    # regression anchor for the scan and bounded search, on a real and a
+    # complex drive
+    assert estimate_alpha(params, FockSpace(n_max)) == pytest.approx(
+        alpha, rel=1e-7)
 
 
 def test_required_n_max_monotone():
