@@ -18,6 +18,7 @@ import numpy as np
 from .analyze import AnalysisError, analyze_rows
 from .config import ENV_OUTPUT_DIR, ConfigError, RunConfig, load_preset, \
     preset_names
+from .fock import DimensionCapError
 from .lattice import geometry_from_size
 from .store import read_rows
 from .sweep import run_sweep, solve_point
@@ -127,7 +128,7 @@ def cmd_analyze(args):
 
 def cmd_validate(args):
     from .validate import validate_suite
-    rep = validate_suite(inject=args.inject)
+    rep = validate_suite()
     for name, g in rep["groups"].items():
         worst = max((c["value"] for c in g["checks"]), default=0.0)
         print("%-18s %s (worst %.3e over %d checks)"
@@ -224,8 +225,6 @@ def build_parser():
 
     p = sub.add_parser("validate", help="cross-module validation suite")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--inject", choices=("b_x_perturbed", "corner_m1"),
-                   help="deliberately break one group (suite self-test)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("map-spin", help="cat-basis spin-model report")
@@ -248,7 +247,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, DimensionCapError) as e:
         print(str(e), file=sys.stderr)
         return 2
     except KeyError as e:

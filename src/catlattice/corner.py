@@ -25,10 +25,11 @@ has a definite parity, below), preconditioned by its Sylvester part
 inverted on the diagonal of the Schur form of each sector's H_eff.  An
 iteration costs O(K (Me^3 + Mo^3)) for K jump operators and Me + Mo = M
 states, and the solve needs O(Me^2 + Mo^2) memory; the dense M^2 x M^2
-superoperator is never built.  A corner run of the 2x2 torus at Fock
-cutoff 4 (K = 8, one BLAS thread, 2-vCPU Xeon) takes 0.03 s of CPU at
-M = 64, 0.15 s at M = 128 and 0.9 s at M = 256, peaking at 88, 99 and
-133 MB of process memory (BENCH_sector_kernel.json).
+superoperator is never built.  Every block, the exact route's one leaf
+included, is priced (_block_bytes) against the memory the OS reports
+available before its operators are built: a leaf before _build_leaf, a
+merge once merge_spaces has fixed its M and parity split.  One that would
+not fit raises MemoryError, which a sweep records as a failed point.
 
 Conventions that matter for correctness:
 
@@ -59,7 +60,8 @@ import scipy.sparse as sp
 
 from .fock import annihilation_op, embed_site_op, total_number_diagonal
 from .lattice import jump_operators, lattice_hamiltonian
-from .liouville import SteadyStateResult, steady_state_direct
+from .liouville import (SteadyStateResult, available_memory, solve_bytes,
+                        steady_state_direct)
 
 
 # Block weights at or below WEIGHT_FLOOR times the largest are solver noise
@@ -248,11 +250,10 @@ def _build_leaf(region, geom, params, fock):
                  parity=(-1.0) ** n_diag, exact=True)
 
 
-def _merge_blocks(block_a, block_b, origin_a, origin_b, m, geom, params):
-    """Corner-merge two solved blocks whose regions start at the lattice
-    sites origin_a and origin_b; the result's sites count from origin_a."""
-    basis = merge_spaces(block_a.result.rho, block_b.result.rho, m,
-                         block_a.parity, block_b.parity)
+def _merge_blocks(block_a, block_b, basis, origin_a, origin_b, m, geom,
+                  params):
+    """Corner-merge two solved blocks, whose regions start at the sites
+    origin_a and origin_b, into merge_spaces's basis at target m."""
     eye_a = np.eye(block_a.dim)
     eye_b = np.eye(block_b.dim)
     h = project_pair(block_a.h, eye_b, basis) + project_pair(eye_a, block_b.h, basis)
@@ -286,6 +287,29 @@ def _merge_blocks(block_a, block_b, origin_a, origin_b, m, geom, params):
                  full_dim=full_dim, kept_weight=basis.kept_weight)
 
 
+def _block_bytes(dims, n_sites, dense, params):
+    """Bytes a block of n_sites sites with parity sectors of dims states
+    holds while built and solved: its h and n_op as D x D arrays, its a_j
+    and a_j^2 dense (dense true) or sparse with at most D nonzeros each, and
+    the solve (liouville.solve_bytes) of the a_j, and a_j^2 if eta > 0."""
+    d = sum(dims)
+    op = 16 * d * d if dense else 20 * d
+    n_jumps = n_sites * (2 if params.eta > 0 else 1)
+    return (32 * d * d + 2 * n_sites * op
+            + solve_bytes(dims, n_jumps if dense else 0,
+                          0 if dense else n_jumps * d))
+
+
+def _preflight(dims, n_sites, dense, params):
+    """MemoryError if _block_bytes exceeds the memory the OS reports."""
+    need = _block_bytes(dims, n_sites, dense, params)
+    have = available_memory()
+    if need > have:
+        raise MemoryError("a %d-site block of %d states needs about %.1f GB "
+                          "of memory, %.1f GB available"
+                          % (n_sites, sum(dims), need / 2**30, have / 2**30))
+
+
 def _solve_block(blk, params):
     """Solve a block in place with the shared steady-state kernel."""
     jumps = jump_operators(params, blk.a_ops, blk.a2_ops)
@@ -317,7 +341,8 @@ def _solve_region(region, run):
     """
     geom = run.geom
     shape = region.shape_key(geom)
-    leaf = region.nx * region.ny <= run.leaf_sites_max
+    n_sites = region.nx * region.ny
+    leaf = n_sites <= run.leaf_sites_max
     if leaf:
         key = ("leaf", shape)
     else:
@@ -328,11 +353,20 @@ def _solve_region(region, run):
                run.m if run.m < block_a.dim * block_b.dim else None)
     blk = run.used.get(key, run.blocks.get(key))
     cached = blk is not None
-    if not cached:
+    if not cached:        # pre-flight before any operator is built
         if leaf:
+            dim = run.fock.dim ** n_sites
+            trace = 1 - run.fock.n_max % 2      # tr(Pi) of the leaf
+            _preflight(((dim + trace) // 2, (dim - trace) // 2), n_sites,
+                       dim <= DENSE_LEAF_DIM, run.params)
             blk = _build_leaf(region, geom, run.params, run.fock)
         else:
-            blk = _merge_blocks(block_a, block_b, region_a.sites(geom)[0],
+            basis = merge_spaces(block_a.result.rho, block_b.result.rho,
+                                 run.m, block_a.parity, block_b.parity)
+            even = int(np.count_nonzero(basis.parity > 0))
+            _preflight((even, basis.m - even), n_sites, True, run.params)
+            blk = _merge_blocks(block_a, block_b, basis,
+                                region_a.sites(geom)[0],
                                 region_b.sites(geom)[0], run.m, geom,
                                 run.params)
         _solve_block(blk, run.params)
@@ -409,13 +443,16 @@ def corner_steady_state(geom, params, fock, m, leaf_sites_max=2, blocks=None):
 
 def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
     """Repeat the corner run over strictly ascending m until parity and
-    entropy settle (a repeated m would repeat its run and fake a drift of 0).
+    entropy settle.  Returns (run, report).
 
-    Returns (run, report).  The first run whose parity and entropy both moved
-    less than tol from the previous m is returned with converged=True;
-    otherwise the largest-m run comes back flagged UNCONVERGED.  The runs
-    share one dict of blocks, so leaves and merges that keep every product
-    are solved once for the whole m list.
+    The first run whose parity and entropy both moved less than tol from the
+    previous run is returned with converged=True; otherwise the largest-m
+    run comes back flagged UNCONVERGED.  A run with the previous run's
+    dimension at every merge (tie expansion can make m and m + 1 one corner)
+    repeats it: its drift is null.  A run that is exact, or saturated (every
+    truncated merge stopped at its last positive weight below m, so no
+    larger m changes it), converges outright.  The runs share one dict of
+    blocks: leaves and merges that keep every product are solved once.
     """
     from .observables import parity_expectation, von_neumann_entropy
     if not m_list or any(a >= b for a, b in zip(m_list, m_list[1:])):
@@ -428,17 +465,21 @@ def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
                                   leaf_sites_max=leaf_sites_max, blocks=blocks)
         pi = parity_expectation(run.result.rho, run.parity)
         s = von_neumann_entropy(run.result.rho)
+        merge_dims = [st["m"] for st in run.steps]
         drift = None
-        if prev is not None:
+        if prev is not None and merge_dims != prev[2]:
             drift = max(abs(pi - prev[0]), abs(s - prev[1]))
-        exact = all(st["exact"] for st in run.steps)
-        report.append({"m": m, "m_used": run.result.rho.dim,
-                       "parity": pi, "entropy": s, "drift": drift,
-                       "exact": exact})
-        if exact or (drift is not None and drift <= tol):
+        cut = [st["m"] for st in run.steps if not st["exact"]]
+        entry = {"m": m, "m_used": run.result.rho.dim, "parity": pi,
+                 "entropy": s, "drift": drift, "exact": not cut}
+        if cut and max(cut) < m:
+            entry["saturated"] = True
+        report.append(entry)
+        if not cut or max(cut) < m or (drift is not None and drift <= tol):
+            # exact, saturated, or settled
             run.converged = True
             return run, report
-        prev = (pi, s)
+        prev = (pi, s, merge_dims)
     run.converged = False
     run.result = replace(run.result, flags=run.result.flags + ("UNCONVERGED",))
     return run, report

@@ -18,6 +18,8 @@ densified.  An iteration costs O((De^3 + Do^3) + nnz D) with sparse jumps,
 O(K (De^3 + Do^3)) with K dense ones, and the solve holds O(De^2 + Do^2)
 memory; the D^2 x D^2 superoperator is never formed.  Without a parity
 vector the kernel runs the same code on one sector of all D states.
+solve_bytes prices that layout and available_memory what the OS can give;
+the corner pass checks every block against the two before building it.
 
 The two independent oracles do build it, vectorized with row-major (C-order)
 stacking, vec(rho)[i*D + j] = rho[i, j], under which
@@ -32,6 +34,7 @@ integration.  There is no method dispatch: solve_steady_state(H, jumps) is
 the kernel, and the oracles are called by name.
 """
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -44,8 +47,8 @@ import scipy.sparse.linalg as spla
 # operator scale (see steady_state_direct).
 RESIDUAL_TOL = 1e-10
 
-# Krylov vectors GMRES keeps between restarts in steady_state_direct; the
-# sweep's memory pre-flight counts them (sweep._exact_memory).
+# Krylov vectors GMRES keeps between restarts in steady_state_direct;
+# solve_bytes counts them.
 GMRES_RESTART = 40
 
 
@@ -169,6 +172,33 @@ def _sector_split(H, jumps, sectors):
                              dtype=complex).reshape(-1, dims[s], dims[t]),
               [x for x in xs if sp.issparse(x)])
              for (s, t), xs in links.items()])
+
+
+def available_memory():
+    """Bytes the OS reports as available (MemAvailable, else physical RAM)."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def solve_bytes(dims, n_dense, sparse_nnz):
+    """Peak bytes of steady_state_direct on parity sectors of dims states
+    with n_dense dense D x D jumps and sparse ones of sparse_nnz entries in
+    all, counted as handed over: 16 (De^2 + Do^2) bytes for each of
+    GMRES_RESTART + 1 Krylov vectors, 7 Schur and preconditioner arrays and
+    12 work arrays; GMRES's Hessenberg matrix; 16 D^2 bytes for H in sector
+    order, the returned rho and three copies of each dense jump (as given, in
+    sector order, as sector blocks with adjoints); 80 bytes a sparse entry."""
+    d = sum(dims)
+    return (16 * ((GMRES_RESTART + 1 + 7 + 12) * sum(x * x for x in dims)
+                  + GMRES_RESTART * (GMRES_RESTART + 1)
+                  + (2 + 3 * n_dense) * d * d)
+            + 80 * sparse_nnz)
 
 
 def steady_state_direct(H, jumps, parity=None):
@@ -410,10 +440,5 @@ def steady_state_time(liou):
 
 def solve_steady_state(H, jumps):
     """Steady state of H and jumps by the kernel steady_state_direct on one
-    sector of every state.  The oracles steady_state_eigen and
-    steady_state_time take the vectorized Liouvillian and are called by
-    name.  A sweep does not come through here: it solves an exact point as
-    the corner run whose one leaf is the whole lattice (see
-    catlattice.sweep), with the same kernel.
-    """
+    sector of every state; the oracles are called by name."""
     return steady_state_direct(H, jumps)

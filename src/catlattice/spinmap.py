@@ -190,8 +190,9 @@ def cat_isometry(basis, n_sites):
 def validate_mapping(alpha, params, geom, fock):
     """Worst entrywise deviation between the projected lattice Hamiltonian and
     H_XY plus the predicted identity scalars."""
-    basis = cat_states(alpha, fock)
     n = geom.n_sites
+    _check_cap(fock.dim ** n)         # before the dense D x 2^n isometry
+    basis = cat_states(alpha, fock)
     v = cat_isometry(basis, n)
     hb = build_hamiltonian(params, geom, fock)
     h_proj = v.conj().T @ (hb @ v)

@@ -8,8 +8,9 @@ method "direct".  Larger lattices, and every lattice under method corner,
 run over the configured M list.  Both give one record shape: the final
 block's GMRES iterations and nonnormality, the convergence report (for an
 exact point one entry, drift null, exact true) and the merge steps (none
-for an exact point).  Failures are recorded per point and the sweep only
-fails when every point does.
+for an exact point).  Failures, a block the corner's memory pre-flight
+refuses among them, are recorded per point; the sweep fails only when
+every point does.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import time
 
 from .corner import convergence_sweep
 from .fock import FockSpace
-from .liouville import GMRES_RESTART
 from .observables import expectation, parity_expectation, von_neumann_entropy
 from .store import SweepStore
 
@@ -42,54 +42,8 @@ def _record(run, n_sites, report):
     }
 
 
-def available_memory():
-    """Bytes the OS reports as available (MemAvailable, else physical RAM)."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _exact_memory(fock, n_sites, n_jumps):
-    """Bytes an exact solve of n_sites sites with n_jumps jumps holds.
-
-    The kernel keeps rho as its two parity sectors, De and Do states, in
-    arrays of 16 (De^2 + Do^2) bytes: GMRES's GMRES_RESTART + 1 Krylov
-    vectors, seven per-sector Schur factors and preconditioner arrays and
-    about a dozen work arrays.  Two D x D arrays stay full size (the leaf's dense
-    H and the returned rho), and each jump (a_j or a_j^2, at most D
-    nonzeros) is held four times in sparse form at 20 bytes a nonzero.
-    """
-    dim = fock.dim ** n_sites
-    trace = 1 - fock.n_max % 2         # tr(Pi) = (sum_n (-1)^n)^n_sites
-    even, odd = (dim + trace) // 2, (dim - trace) // 2
-    return (16 * ((GMRES_RESTART + 1 + 7 + 12) * (even ** 2 + odd ** 2)
-                  + 2 * dim ** 2)
-            + 4 * 20 * dim * n_jumps)
-
-
-def _check_exact_memory(fock, n_sites, n_jumps):
-    """Raise MemoryError when an exact solve would not fit in the memory
-    the OS reports available (see _exact_memory)."""
-    need = _exact_memory(fock, n_sites, n_jumps)
-    have = available_memory()
-    if need > have:
-        raise MemoryError("exact solve at D=%d needs about %.1f GB of memory, "
-                          "%.1f GB available" % (fock.dim ** n_sites,
-                                                 need / 2**30, have / 2**30))
-
-
 def solve_point(cfg, geom, g):
-    """One (geometry, G) point routed per config; returns the record body.
-
-    An exact point is checked against the memory the OS reports before any
-    operator is built; one that would not fit raises MemoryError, which
-    run_sweep records as a failed point.
-    """
+    """One (geometry, G) point routed per config; returns the record body."""
     fock = FockSpace(cfg.n_max)
     params = cfg.model_params(g)
     dim = fock.dim ** geom.n_sites
@@ -98,9 +52,6 @@ def solve_point(cfg, geom, g):
                                          and dim > cfg.solver.exact_dim_cap):
         m_list, leaf_sites_max = cfg.corner.m_list, cfg.corner.leaf_sites_max
     else:
-        # one-photon loss on every site, plus two-photon loss if eta > 0
-        _check_exact_memory(fock, geom.n_sites,
-                            geom.n_sites * (2 if params.eta > 0 else 1))
         m_list, leaf_sites_max = [dim], geom.n_sites
     run, report = convergence_sweep(geom, params, fock, m_list,
                                     tol=cfg.corner.drift_tol,

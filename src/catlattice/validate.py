@@ -4,11 +4,6 @@ Machine-readable pass/fail per invariant group: solver agreement on
 small systems, corner exactness at full corner dimension, the spin-model
 coefficient identities, mapping validation, and steady-state parity
 symmetry.  The whole suite is sized to finish in well under ten minutes.
-
-The inject argument deliberately breaks one group (mutation checks for
-the suite itself): "b_x_perturbed" biases the B_x coefficient and must
-fail the identity group; "corner_m1" forces a one-state corner and must
-fail corner exactness with UNCONVERGED provenance.
 """
 from __future__ import annotations
 
@@ -69,12 +64,9 @@ def _check(name, value, tol):
             "passed": bool(value <= tol)}
 
 
-def _group(name, checks, extra=None):
-    g = {"name": name, "passed": all(c["passed"] for c in checks),
-         "checks": checks}
-    if extra:
-        g.update(extra)
-    return g
+def _group(name, checks, **extra):
+    return {"name": name, "passed": all(c["passed"] for c in checks),
+            "checks": checks, **extra}
 
 
 def solver_agreement_group():
@@ -96,13 +88,11 @@ def solver_agreement_group():
             checks.append(_check("%s %s" % (tag, pname),
                                  trace_distance(ra.rho, rb.rho),
                                  AGREEMENT_TOL))
-    return _group("solver_agreement", checks,
-                  {"n_points": len(AGREEMENT_POINTS)})
+    return _group("solver_agreement", checks, n_points=len(AGREEMENT_POINTS))
 
 
-def corner_exactness_group(inject=None):
+def corner_exactness_group():
     checks = []
-    provenance = []
     cases = (
         ("1d-2site", chain(2), 3,
          ModelParams.resonant(u=40.0, j_hop=20.0, g=1.5)),
@@ -112,9 +102,8 @@ def corner_exactness_group(inject=None):
     for tag, geom, n_max, params in cases:
         fock = FockSpace(n_max)
         full = fock.dim ** geom.n_sites
-        m_list = [1] if inject == "corner_m1" else [full]
-        run, report = convergence_sweep(geom, params, fock, m_list,
-                                        leaf_sites_max=1)
+        run, _ = convergence_sweep(geom, params, fock, [full],
+                                   leaf_sites_max=1)
         h = build_hamiltonian(params, geom, fock)
         jumps = build_jump_operators(params, geom, fock)
         pi = parity_op(fock, geom.n_sites)
@@ -128,26 +117,20 @@ def corner_exactness_group(inject=None):
                   - von_neumann_entropy(exact.rho))
         checks.append(_check("%s parity" % tag, d_pi, CORNER_TOL))
         checks.append(_check("%s entropy" % tag, d_s, CORNER_TOL))
-        if not run.converged:
-            provenance.append({"case": tag,
-                               "flags": list(run.result.flags),
-                               "report": report})
-    extra = {"provenance": provenance} if provenance else None
-    return _group("corner_exactness", checks, extra)
+    return _group("corner_exactness", checks)
 
 
-def spin_identity_group(inject=None):
+def spin_identity_group():
     xs = np.linspace(0.05, 10.0, 50)
     worst = 0.0
     for x in xs:
         c = SpinModelCoefficients.from_alpha(np.sqrt(x))
-        bx = c.b_x + (1e-6 if inject == "b_x_perturbed" else 0.0)
         worst = max(
             worst,
-            abs(bx * c.b_y - c.a_minus),
-            abs(bx ** 2 - (c.a_plus + 2.0)),
+            abs(c.b_x * c.b_y - c.a_minus),
+            abs(c.b_x ** 2 - (c.a_plus + 2.0)),
             abs(c.b_y ** 2 - (c.a_plus - 2.0)),
-            abs((bx ** 2 - c.b_y ** 2) - 4.0),
+            abs((c.b_x ** 2 - c.b_y ** 2) - 4.0),
         )
     checks = [_check("coefficient identities (50 points)", worst,
                      IDENTITY_TOL)]
@@ -204,17 +187,16 @@ def steady_symmetry_group():
     return _group("steady_symmetry", checks)
 
 
-def validate_suite(inject=None):
+def validate_suite():
     """Run every group; returns a JSON-ready report dict."""
     groups = [
         solver_agreement_group(),
-        corner_exactness_group(inject=inject),
-        spin_identity_group(inject=inject),
+        corner_exactness_group(),
+        spin_identity_group(),
         mapping_group(),
         steady_symmetry_group(),
     ]
     return {
         "passed": all(g["passed"] for g in groups),
         "groups": {g["name"]: g for g in groups},
-        "inject": inject,
     }

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
+import catlattice.validate as validate
 from catlattice.cli import main
 
 MINI = {
@@ -201,15 +204,34 @@ def test_map_spin_report(capsys, tmp_path):
     assert json.load(open(out))["coefficients"]["b_x"] == co["b_x"]
 
 
-def test_validate_suite_smoke(capsys, tmp_path):
-    # the full suite runs in ~20 s; injected failure path must exit 1
+def test_validate_suite_smoke(capsys, tmp_path, monkeypatch):
+    # the full suite runs in ~20 s; a broken group must exit 1.  The B_x
+    # coefficient the identity group checks is biased by 1e-6
+    real = validate.SpinModelCoefficients
+
+    def biased(alpha):
+        c = real.from_alpha(alpha)
+        return dataclasses.replace(c, b_x=c.b_x + 1e-6)
+
+    monkeypatch.setattr(validate, "SpinModelCoefficients",
+                        types.SimpleNamespace(from_alpha=biased))
     out = str(tmp_path / "val.json")
-    rc = main(["validate", "--inject", "b_x_perturbed", "--out", out])
+    rc = main(["validate", "--out", out])
     assert rc == 1
     rep = json.load(open(out))
     assert not rep["passed"]
     groups = rep["groups"]
     assert not groups["spin_identities"]["passed"]
-    # the injection must not contaminate unrelated groups
+    # the broken coefficient must not contaminate unrelated groups
     for name in ("solver_agreement", "steady_symmetry"):
         assert groups[name]["passed"]
+
+
+def test_map_spin_beyond_dimension_cap_exits_2(capsys):
+    # 30 sites at n_max 21 is 22^30 states; the cap is checked before the
+    # dense cat isometry (108 GiB at six sites of its build) is formed
+    rc = main(["map-spin", "--u", "5", "--j", "1", "--alpha-sq", "1",
+               "--n-sites", "30"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "exceeds the hard cap" in err and "Traceback" not in err

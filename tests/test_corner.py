@@ -303,6 +303,30 @@ def test_convergence_sweep_flags_unconverged():
     assert "UNCONVERGED" in run.result.flags
 
 
+def test_tie_repeat_is_not_a_convergence_step():
+    # at M = 48 the cut of the 2x2 torus's one merge falls inside a
+    # degenerate run and expands to 49 states, so M = 49 repeats that
+    # corner; its drift of 0.0 is no evidence of convergence
+    p = ModelParams.resonant(u=100.0, j_hop=50.0, g=5.0)
+    run, report = convergence_sweep(rectangle(2, 2), p, FockSpace(4),
+                                    [48, 49])
+    assert [r["m_used"] for r in report] == [49, 49]
+    assert report[1]["drift"] is None
+    assert not run.converged and "UNCONVERGED" in run.result.flags
+
+
+def test_saturated_corner_converges_at_first_m():
+    # undriven, every block is the vacuum: each truncated merge keeps its
+    # one positive weight, below M, and no larger M can change the corner
+    p = ModelParams.resonant(u=100.0, j_hop=50.0, g=0.0)
+    run, report = convergence_sweep(chain(4), p, FockSpace(3), [16, 32, 64])
+    assert run.converged and not run.result.flags
+    (entry,) = report
+    assert entry["m"] == 16 and entry["m_used"] == 1
+    assert entry["saturated"] and not entry["exact"]
+    assert entry["drift"] is None
+
+
 def test_convergence_sweep_rejects_unsorted():
     f = FockSpace(2)
     p = ModelParams.resonant(u=20.0, j_hop=10.0, g=1.0)

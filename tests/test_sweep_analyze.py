@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import catlattice.corner as corner
-import catlattice.sweep as sweep
+import catlattice.liouville as liouville
 from catlattice.analyze import AnalysisError, analyze_rows, infer_dimensionality
 from catlattice.config import RunConfig
 from catlattice.fock import (FockSpace, embed_site_op, number_op, parity_op,
@@ -164,15 +164,22 @@ def test_exact_record_is_the_full_space_kernel(tmp_path, size, n_max):
 
 
 def test_exact_memory_budgets_parity_sectors():
-    # the 4-ring at n_max 4 (D = 625, K = 8): sectors of 313 and 312 states.
-    # A traced exact solve and record of that point peaks at 178 MB of
-    # arrays; the full-space estimate (41 + 4K + 12) x 16 D^2 was 531 MB
-    need = sweep._exact_memory(FockSpace(4), 4, 8)
-    assert need == 16 * (60 * (313**2 + 312**2) + 2 * 625**2) + 80 * 625 * 8
-    assert need == 200_400_480
+    # the 4-ring at n_max 4 (D = 625, K = 8 sparse jumps): sectors of 313
+    # and 312 states.  A traced build and solve of that leaf peaks at
+    # 173 MiB of arrays, against 203 MiB estimated
+    kernel = liouville.solve_bytes((313, 312), 0, 8 * 625)
+    assert kernel == (16 * (60 * (313**2 + 312**2) + 40 * 41 + 2 * 625**2)
+                      + 80 * 8 * 625)
+    params = RunConfig.from_dict(dict(MINI)).model_params(2.0)
+    need = corner._block_bytes((313, 312), 4, False, params)
+    assert need == kernel + 32 * 625**2 + 8 * 20 * 625
+    assert need == 213_026_720
     # at odd n_max the sectors are equal: 128 and 128 states of D = 256
-    assert sweep._exact_memory(FockSpace(3), 4, 4) \
-        == 16 * (60 * 2 * 128**2 + 2 * 256**2) + 80 * 256 * 4
+    assert liouville.solve_bytes((128, 128), 0, 4 * 256) \
+        == 16 * (60 * 2 * 128**2 + 40 * 41 + 2 * 256**2) + 80 * 256 * 4
+    # a merge holds its jumps dense: three D x D copies of each
+    assert liouville.solve_bytes((132, 124), 8, 0) \
+        == 16 * (60 * (132**2 + 124**2) + 40 * 41 + 26 * 256**2)
 
 
 def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
@@ -180,8 +187,8 @@ def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
     # records it as failed before any operator is built, and the small point
     # still solves.  Available memory is pinned so that the outcome does not
     # depend on the host.
-    assert sweep.available_memory() > 0
-    monkeypatch.setattr(sweep, "available_memory", lambda: 8 * 2**30)
+    assert liouville.available_memory() > 0
+    monkeypatch.setattr(corner, "available_memory", lambda: 8 * 2**30)
     built = []
     real = corner._build_leaf
 
@@ -199,6 +206,33 @@ def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
     assert small["size"] == "1" and small["converged"]
     assert big["size"] == "4" and big["method"] == "failed"
     assert "memory" in big["error"] and not big["converged"]
+
+
+def test_corner_merge_beyond_memory_fails_alone(tmp_path, monkeypatch):
+    # the 3-chain's merge keeps all 125 products and needs about 14 MB; the
+    # 4-chain's keeps all 625 (about 0.4 GB) and is refused once
+    # merge_spaces has fixed its M, before any operator is projected.  Its
+    # leaves fit, so they are built and solved first.
+    monkeypatch.setattr(corner, "available_memory", lambda: 100 * 2**20)
+    projected = []
+    real = corner.project_pair
+
+    def spy(op_a, op_b, basis):
+        projected.append(basis.m)
+        return real(op_a, op_b, basis)
+
+    monkeypatch.setattr(corner, "project_pair", spy)
+    cfg = mini_cfg(tmp_path, sizes=[3, 4], n_max=4, g_values=[2.0],
+                   solver={"method": "corner"},
+                   corner={"m_list": [625], "drift_tol": 1e-3})
+    last = run_sweep(cfg).last_sweep
+    assert last["n_new"] == 1 and last["n_failed"] == 1
+    assert projected and set(projected) == {125}
+    small, big = read_rows(last["store_path"])
+    assert small["size"] == "3" and small["converged"]
+    assert small["steps"][-1]["m"] == 125
+    assert big["size"] == "4" and big["method"] == "failed"
+    assert "625 states" in big["error"] and "memory" in big["error"]
 
 
 def test_run_sweep_resume_skips_done_points(tmp_path):
