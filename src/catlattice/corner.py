@@ -14,6 +14,7 @@ keeps every product.  Equal-shaped regions of one run share a block, and
 the runs of a convergence sweep share every block that does not depend on
 M: the leaves, and merges that keep the full product space all the way
 down.  Truncated blocks live only for their own run.  Each block carries its
+jump operators once, the list its kernel solve takes (see Block), and its
 total photon-number operator, the one number operator a record needs: a
 leaf's is diagonal, a merge projects N_A (x) I + I (x) N_B.
 
@@ -62,6 +63,7 @@ from .fock import annihilation_op, embed_site_op, total_number_diagonal
 from .lattice import jump_operators, lattice_hamiltonian
 from .liouville import (SteadyStateResult, available_memory, solve_bytes,
                         steady_state_direct)
+from .observables import parity_expectation, von_neumann_entropy
 
 
 # Block weights at or below WEIGHT_FLOOR times the largest are solver noise
@@ -166,10 +168,13 @@ def merge_spaces(rho_a, rho_b, m, parity_a, parity_b):
 
 def project_pair(op_a, op_b, basis):
     """Project X_A (x) Y_B entrywise (see module docstring); X and Y are
-    dense arrays or scipy sparse matrices on the blocks' spaces."""
-    ra = basis.vecs_a.conj().T @ (op_a @ basis.vecs_a)
-    rb = basis.vecs_b.conj().T @ (op_b @ basis.vecs_b)
-    return ra[np.ix_(basis.idx_a, basis.idx_a)] * rb[np.ix_(basis.idx_b, basis.idx_b)]
+    dense arrays, scipy sparse matrices or None for an identity factor,
+    whose exact projection is the delta of that side's kept indices."""
+    def side(op, vecs, idx):
+        return (idx[:, None] == idx[None, :] if op is None
+                else (vecs.conj().T @ (op @ vecs))[np.ix_(idx, idx)])
+    return (side(op_a, basis.vecs_a, basis.idx_a)
+            * side(op_b, basis.vecs_b, basis.idx_b))
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +218,16 @@ def _split(region):
 class Block:
     """A solved block.  sites are the lattice labels of its operators'
     sites, less the label of its region's first site, so one block serves
-    every region of its shape.  h is dense; a leaf's n_op is scipy sparse,
-    and so are its a_j and a_j^2 above DENSE_LEAF_DIM states."""
+    every region of its shape.  jumps are sqrt(gamma) a_j for each site,
+    then sqrt(eta) a_j^2 if eta > 0 (lattice.jump_operators): the kernel
+    solves with this list and a seam reads its a_j from it.  h is dense; a
+    leaf's n_op is scipy sparse, and so are its jumps above DENSE_LEAF_DIM
+    states."""
 
     sites: list
     dim: int
     h: np.ndarray
-    a_ops: list
-    a2_ops: list
+    jumps: list
     n_op: object                    # total photon number of its sites
     parity: np.ndarray              # +-1 parity of each basis state
     exact: bool                     # full product spaces all the way down
@@ -245,8 +252,8 @@ def _build_leaf(region, geom, params, fock):
     h = lattice_hamiltonian(params, a_ops, bonds, geom.dimensionality)
     n_diag = total_number_diagonal(fock, n)
     return Block(sites=[s - sites[0] for s in sites], dim=dim,
-                 h=h.toarray() if sp.issparse(h) else h, a_ops=a_ops,
-                 a2_ops=[a @ a for a in a_ops], n_op=sp.diags(n_diag),
+                 h=h.toarray() if sp.issparse(h) else h,
+                 jumps=jump_operators(params, a_ops), n_op=sp.diags(n_diag),
                  parity=(-1.0) ** n_diag, exact=True)
 
 
@@ -254,12 +261,12 @@ def _merge_blocks(block_a, block_b, basis, origin_a, origin_b, m, geom,
                   params):
     """Corner-merge two solved blocks, whose regions start at the sites
     origin_a and origin_b, into merge_spaces's basis at target m."""
-    eye_a = np.eye(block_a.dim)
-    eye_b = np.eye(block_b.dim)
-    h = project_pair(block_a.h, eye_b, basis) + project_pair(eye_a, block_b.h, basis)
+    h = (project_pair(block_a.h, None, basis)
+         + project_pair(None, block_b.h, basis))
     local_a = {s + origin_a: k for k, s in enumerate(block_a.sites)}
     local_b = {s + origin_b: k for k, s in enumerate(block_b.sites)}
-    pre = params.j_hop / (2.0 * geom.dimensionality) if geom.dimensionality else 0.0
+    # seams hop between the blocks' jumps sqrt(gamma) a_j, hence the 1/gamma
+    pre = params.j_hop / (2.0 * geom.dimensionality * params.gamma)
     for b in geom.bonds:              # seam bonds: one end in each block
         if b.i in local_a and b.j in local_b:
             sa, sb = b.i, b.j
@@ -267,20 +274,22 @@ def _merge_blocks(block_a, block_b, basis, origin_a, origin_b, m, geom,
             sa, sb = b.j, b.i
         else:
             continue
-        adag_a = block_a.a_ops[local_a[sa]].conj().T
-        a_b = block_b.a_ops[local_b[sb]]
+        adag_a = block_a.jumps[local_a[sa]].conj().T
+        a_b = block_b.jumps[local_b[sb]]
         hop = project_pair(adag_a, a_b, basis)
         h += -pre * b.weight * (hop + hop.conj().T)
 
     def pair(ops_a, ops_b):
-        return ([project_pair(x, eye_b, basis) for x in ops_a]
-                + [project_pair(eye_a, y, basis) for y in ops_b])
+        return ([project_pair(x, None, basis) for x in ops_a]
+                + [project_pair(None, y, basis) for y in ops_b])
 
+    na, nb = len(block_a.sites), len(block_b.sites)
     full_dim = block_a.dim * block_b.dim
     return Block(sites=block_a.sites + [s + origin_b - origin_a
                                         for s in block_b.sites],
-                 dim=basis.m, h=h, a_ops=pair(block_a.a_ops, block_b.a_ops),
-                 a2_ops=pair(block_a.a2_ops, block_b.a2_ops),
+                 dim=basis.m, h=h,
+                 jumps=(pair(block_a.jumps[:na], block_b.jumps[:nb])
+                        + pair(block_a.jumps[na:], block_b.jumps[nb:])),
                  n_op=sum(pair([block_a.n_op], [block_b.n_op])),
                  parity=basis.parity,
                  exact=block_a.exact and block_b.exact and m >= full_dim,
@@ -289,15 +298,13 @@ def _merge_blocks(block_a, block_b, basis, origin_a, origin_b, m, geom,
 
 def _block_bytes(dims, n_sites, dense, params):
     """Bytes a block of n_sites sites with parity sectors of dims states
-    holds while built and solved: its h and n_op as D x D arrays, its a_j
-    and a_j^2 dense (dense true) or sparse with at most D nonzeros each, and
-    the solve (liouville.solve_bytes) of the a_j, and a_j^2 if eta > 0."""
+    holds while built and solved: its h and n_op as D x D arrays and the
+    solve (liouville.solve_bytes) of its jumps, a_j and, if eta > 0, a_j^2,
+    dense (dense true) or sparse with at most D nonzeros each."""
     d = sum(dims)
-    op = 16 * d * d if dense else 20 * d
     n_jumps = n_sites * (2 if params.eta > 0 else 1)
-    return (32 * d * d + 2 * n_sites * op
-            + solve_bytes(dims, n_jumps if dense else 0,
-                          0 if dense else n_jumps * d))
+    return 32 * d * d + solve_bytes(dims, n_jumps if dense else 0,
+                                    0 if dense else n_jumps * d)
 
 
 def _preflight(dims, n_sites, dense, params):
@@ -308,12 +315,6 @@ def _preflight(dims, n_sites, dense, params):
         raise MemoryError("a %d-site block of %d states needs about %.1f GB "
                           "of memory, %.1f GB available"
                           % (n_sites, sum(dims), need / 2**30, have / 2**30))
-
-
-def _solve_block(blk, params):
-    """Solve a block in place with the shared steady-state kernel."""
-    jumps = jump_operators(params, blk.a_ops, blk.a2_ops)
-    blk.result = steady_state_direct(blk.h, jumps, parity=blk.parity)
 
 
 @dataclass
@@ -369,7 +370,7 @@ def _solve_region(region, run):
                                 region_a.sites(geom)[0],
                                 region_b.sites(geom)[0], run.m, geom,
                                 run.params)
-        _solve_block(blk, run.params)
+        blk.result = steady_state_direct(blk.h, blk.jumps, parity=blk.parity)
         if blk.exact:
             run.blocks[key] = blk
     run.used[key] = blk
@@ -454,7 +455,6 @@ def convergence_sweep(geom, params, fock, m_list, tol=1e-3, leaf_sites_max=2):
     larger m changes it), converges outright.  The runs share one dict of
     blocks: leaves and merges that keep every product are solved once.
     """
-    from .observables import parity_expectation, von_neumann_entropy
     if not m_list or any(a >= b for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be nonempty and strictly ascending")
     report = []

@@ -176,11 +176,12 @@ def build_hamiltonian(params, geom, fock):
                                geom.dimensionality).tocsr()
 
 
-def jump_operators(params, a_ops, a2_ops):
-    """sqrt(gamma) a_j for every site, then sqrt(eta) a_j^2 if eta > 0."""
+def jump_operators(params, a_ops):
+    """sqrt(gamma) a_j for every site, then sqrt(eta) a_j^2 if eta > 0, both
+    in a_ops' order: a corner block reads a_j from its first len(a_ops)."""
     jumps = [np.sqrt(params.gamma) * a for a in a_ops]
     if params.eta > 0:
-        jumps += [np.sqrt(params.eta) * a2 for a2 in a2_ops]
+        jumps += [np.sqrt(params.eta) * (a @ a) for a in a_ops]
     return jumps
 
 
@@ -188,4 +189,4 @@ def build_jump_operators(params, geom, fock):
     """The model's jump operators (see jump_operators) as CSR matrices."""
     n = geom.n_sites
     a_site = [embed_site_op(annihilation_op(fock), j, n) for j in range(n)]
-    return jump_operators(params, a_site, [a @ a for a in a_site])
+    return jump_operators(params, a_site)

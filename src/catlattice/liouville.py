@@ -189,11 +189,12 @@ def available_memory():
 def solve_bytes(dims, n_dense, sparse_nnz):
     """Peak bytes of steady_state_direct on parity sectors of dims states
     with n_dense dense D x D jumps and sparse ones of sparse_nnz entries in
-    all, counted as handed over: 16 (De^2 + Do^2) bytes for each of
-    GMRES_RESTART + 1 Krylov vectors, 7 Schur and preconditioner arrays and
-    12 work arrays; GMRES's Hessenberg matrix; 16 D^2 bytes for H in sector
-    order, the returned rho and three copies of each dense jump (as given, in
-    sector order, as sector blocks with adjoints); 80 bytes a sparse entry."""
+    all: 16 (De^2 + Do^2) bytes for each of GMRES_RESTART + 1 Krylov
+    vectors, 7 Schur and preconditioner arrays and 12 work arrays; GMRES's
+    Hessenberg matrix; 16 D^2 bytes for H in sector order, the returned rho
+    and three copies of each dense jump (as given, a corner block's own
+    list; in sector order; as sector blocks with adjoints); 80 bytes a
+    sparse entry, the jumps as given included."""
     d = sum(dims)
     return (16 * ((GMRES_RESTART + 1 + 7 + 12) * sum(x * x for x in dims)
                   + GMRES_RESTART * (GMRES_RESTART + 1)

@@ -35,7 +35,8 @@ from scipy.optimize import minimize_scalar
 
 from .fock import (FockSpace, annihilation_op, embed_site_op, parity_op,
                    _check_cap)
-from .lattice import build_hamiltonian
+from .lattice import build_hamiltonian, build_jump_operators, chain
+from .liouville import solve_steady_state
 
 SIGMA_X = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = sp.csr_matrix([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -218,9 +219,6 @@ def estimate_alpha(params, fock):
     below it the overlap is maximized by alpha -> 0 and the result simply
     reports a near-vacuum state.  Returns complex alpha.
     """
-    from .lattice import chain, build_jump_operators
-    from .liouville import solve_steady_state
-
     single = chain(1)
     h = build_hamiltonian(params, single, fock)
     jumps = build_jump_operators(params, single, fock)

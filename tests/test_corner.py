@@ -116,15 +116,22 @@ def test_pair_projection_beats_product_of_projections():
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     pair = project_pair(x, y, basis)
-    xa = project_pair(x, np.eye(3), basis)
-    yb = project_pair(np.eye(3), y, basis)
     iso = np.zeros((9, basis.m), dtype=complex)
     for k in range(basis.m):
         iso[:, k] = np.kron(basis.vecs_a[:, basis.idx_a[k]],
                             basis.vecs_b[:, basis.idx_b[k]])
     ref = iso.conj().T @ np.kron(x, y) @ iso
     assert np.abs(pair - ref).max() < 1e-12
-    assert np.abs(xa @ yb - ref).max() > 1e-3
+    # an identity factor, as a matrix or as None (the delta of the kept
+    # indices on its side), projects like the sandwich of X (x) I
+    for eye in (np.eye(3), None):
+        xa = project_pair(x, eye, basis)
+        yb = project_pair(eye, y, basis)
+        assert np.abs(xa - iso.conj().T @ np.kron(x, np.eye(3)) @ iso).max() \
+            < 1e-12
+        assert np.abs(yb - iso.conj().T @ np.kron(np.eye(3), y) @ iso).max() \
+            < 1e-12
+        assert np.abs(xa @ yb - ref).max() > 1e-3
 
 
 def test_schedule_shapes(monkeypatch):
@@ -157,6 +164,31 @@ def test_corner_full_m_matches_exact_two_site():
               - von_neumann_entropy(exact.rho))
     assert d_pi < 1e-7
     assert d_s < 1e-7
+
+
+@pytest.mark.parametrize("geom,gamma,eta", [
+    (chain(3), 2.0, 0.5), (chain(3), 1.0, 0.0), (rectangle(2, 2), 0.5, 2.0)],
+    ids=["3-ring-gamma2", "3-ring-eta0", "2x2-gamma0.5"])
+def test_full_m_corner_matches_eigen_off_unit_rates(geom, gamma, eta):
+    # a block holds sqrt(gamma) a_j, so its seams divide the hop by gamma,
+    # and at eta = 0 it holds no a_j^2 at all; single-site leaves put every
+    # bond on a seam.  The 2x2 torus's eigen reference (D = 81) takes about
+    # 13 s and 470 MB
+    f = FockSpace(2)
+    p = ModelParams(delta=-10.0, u=20.0, g=1.5, j_hop=10.0, gamma=gamma,
+                    eta=eta)
+    n = geom.n_sites
+    run = corner_steady_state(geom, p, f, f.dim ** n, leaf_sites_max=1)
+    assert len(run.steps) == n - 1 and all(st["exact"] for st in run.steps)
+    pi = parity_op(f, n).diagonal().real
+    exact = steady_state_eigen(vectorize_lindbladian(
+        build_hamiltonian(p, geom, f), build_jump_operators(p, geom, f)),
+        parity=pi)
+    assert not run.result.flags and not exact.flags
+    assert abs(parity_expectation(run.result.rho, run.parity)
+               - parity_expectation(exact.rho, pi)) < 1e-8
+    assert abs(von_neumann_entropy(run.result.rho)
+               - von_neumann_entropy(exact.rho)) < 1e-8
 
 
 def test_corner_full_m_matches_exact_2x2_torus_from_single_sites():
@@ -226,6 +258,27 @@ def test_leaf_is_the_lattice_hamiltonian(monkeypatch):
         assert np.array_equal(run.n_op.diagonal(),
                               total_number_diagonal(f, n))
         assert run.result.method == "direct" and run.steps == []
+
+
+def test_kernel_takes_each_blocks_own_jumps(monkeypatch):
+    # one operator list per block: the kernel is handed the block's jumps
+    # themselves, not a rescaled copy
+    p = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.5)
+    f = FockSpace(2)
+    handed = []
+    real = corner.steady_state_direct
+
+    def spy(h, jumps, **kw):
+        handed.append(jumps)
+        return real(h, jumps, **kw)
+
+    monkeypatch.setattr(corner, "steady_state_direct", spy)
+    blocks = {}
+    corner_steady_state(rectangle(2, 2), p, f, f.dim ** 4, leaf_sites_max=1,
+                        blocks=blocks)
+    assert len(blocks) == len(handed) == 3     # a leaf and two merges
+    for blk in blocks.values():
+        assert any(blk.jumps is jumps for jumps in handed)
 
 
 def full_m_corner_with_exact_spectrum(monkeypatch, geom, p, f):
