@@ -22,15 +22,17 @@ Every block, leaf or merged, is solved by one steady-state kernel
 (liouville.steady_state_direct); the exact route is the run whose one leaf
 is the whole lattice (see corner_steady_state).  The kernel runs GMRES on
 L(rho) with rho kept as its two parity-sector blocks (every corner state
-has a definite parity, below), preconditioned by its Sylvester part
-inverted on the diagonal of the Schur form of each sector's H_eff.  An
-iteration costs O(K (Me^3 + Mo^3)) for K jump operators and Me + Mo = M
-states, and the solve needs O(Me^2 + Mo^2) memory; the dense M^2 x M^2
-superoperator is never built.  Every block, the exact route's one leaf
-included, is priced (_block_bytes) against the memory the OS reports
-available before its operators are built: a leaf before _build_leaf, a
-merge once merge_spaces has fixed its M and parity split.  One that would
-not fit raises MemoryError, which a sweep records as a failed point.
+has a definite parity, below), each in the Schur basis of its sector's
+H_eff, where the Sylvester part inverted on the Schur diagonal, the
+preconditioner, is one elementwise product.  A merge's jumps are dense and
+are rotated into that basis once.  An iteration costs O(K (Me^3 + Mo^3))
+for K jump operators and Me + Mo = M states, and the solve needs
+O(Me^2 + Mo^2) memory; the dense M^2 x M^2 superoperator is never built.
+Every block, the exact route's one leaf included, is priced (_block_bytes)
+against the memory the OS reports available before its operators are
+built: a leaf before _build_leaf, a merge once merge_spaces has fixed its
+M and parity split.  One that would not fit raises MemoryError, which a
+sweep records as a failed point.
 
 Conventions that matter for correctness:
 
@@ -79,10 +81,11 @@ TIE_REL = 1e-10
 # flags its run CORNER_TOO_SMALL.
 DISCARD_BOUND = 0.5
 
-# Up to DENSE_LEAF_DIM states a leaf's H is formed from dense site operators,
-# above from sparse ones (the same H, bit for bit): building H takes 0.1 vs
-# 1.9 ms at D = 25, 8 vs 4 ms at D = 125, 170 vs 5 ms at D = 343 (one BLAS
-# thread, 2-vCPU Xeon), as scipy costs ~50 us per product whatever its size.
+# Up to DENSE_LEAF_DIM states a leaf's site operators are dense, built with
+# np.kron, above sparse (fock.embed_site_op); both give the same H, bit for
+# bit.  Building the site operators and H takes 0.26 vs 2.3 ms at D = 25,
+# 6.6 vs 4.4 ms at D = 125, 107 vs 4.6 ms at D = 343 (one BLAS thread,
+# 2-vCPU Xeon), as scipy costs ~50 us per product whatever its size.
 DENSE_LEAF_DIM = 100
 
 
@@ -244,9 +247,12 @@ def _build_leaf(region, geom, params, fock):
     dim = fock.dim ** n
     local = {s: k for k, s in enumerate(sites)}
     a1 = annihilation_op(fock)
-    a_ops = [embed_site_op(a1, k, n) for k in range(n)]
     if dim <= DENSE_LEAF_DIM:
-        a_ops = [a.toarray() for a in a_ops]
+        a1 = a1.toarray()
+        a_ops = [np.kron(np.kron(np.eye(fock.dim ** k), a1),
+                         np.eye(fock.dim ** (n - k - 1))) for k in range(n)]
+    else:
+        a_ops = [embed_site_op(a1, k, n) for k in range(n)]
     bonds = [(local[b.i], local[b.j], b.weight) for b in geom.bonds
              if b.i in local and b.j in local]
     h = lattice_hamiltonian(params, a_ops, bonds, geom.dimensionality)

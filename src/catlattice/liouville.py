@@ -7,19 +7,24 @@ The master equation d rho/dt = L[rho] reads
 
 steady_state_direct is the steady-state kernel of every corner block
 (catlattice.corner), the whole-lattice leaf of the exact route among them:
-GMRES on L(rho) = 0 at unit trace, with a Schur-diagonal Sylvester
-preconditioner.  H_eff and a_j^2 keep photon-number parity and a_j flips
-it, so the steady state is block-diagonal in the two parity sectors; rho
-is stored and iterated as those two blocks, De^2 + Do^2 entries instead of
-D^2, and a parity that H or a jump breaks is a ValueError.  Jumps are
-applied in the form they are given: dense ones as batched matmuls on their
-sector blocks, scipy sparse ones as sparse x dense products, never
-densified.  An iteration costs O((De^3 + Do^3) + nnz D) with sparse jumps,
-O(K (De^3 + Do^3)) with K dense ones, and the solve holds O(De^2 + Do^2)
-memory; the D^2 x D^2 superoperator is never formed.  Without a parity
-vector the kernel runs the same code on one sector of all D states.
-solve_bytes prices that layout and available_memory what the OS can give;
-the corner pass checks every block against the two before building it.
+GMRES on L(rho) = 0 at unit trace, iterated in the Schur basis of H_eff,
+where its Sylvester preconditioner is one elementwise product.  H_eff and
+a_j^2 keep photon-number parity and a_j flips it, so the steady state is
+block-diagonal in the two parity sectors; rho is stored and iterated as
+those two blocks, De^2 + Do^2 entries instead of D^2, and a parity that H
+or a jump breaks is a ValueError.  Jumps are applied in the form they are
+given: dense ones rotated once into the Schur basis and applied as batched
+matmuls on their sector blocks, scipy sparse ones as sparse x dense
+products in the original basis, never densified.  An iteration costs
+O((De^3 + Do^3) + nnz D) with sparse jumps, O(K (De^3 + Do^3)) with K
+dense ones, and the solve holds O(De^2 + Do^2) memory; the D^2 x D^2
+superoperator is never formed.  The GMRES is a short loop of this module
+(_gmres) with scipy.sparse.linalg.gmres's stopping rules and little of its
+per-iteration cost, which dominates on the small blocks of a corner sweep.
+Without a parity vector the kernel runs the same code on one sector of all
+D states.  solve_bytes prices that layout and available_memory what the OS
+can give; the corner pass checks every block against the two before
+building it.
 
 The two independent oracles do build it, vectorized with row-major (C-order)
 stacking, vec(rho)[i*D + j] = rho[i, j], under which
@@ -34,6 +39,7 @@ integration.  There is no method dispatch: solve_steady_state(H, jumps) is
 the kernel, and the oracles are called by name.
 """
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -125,15 +131,12 @@ def _residual(liou, rho):
     return float(np.linalg.norm(liou.sup @ rho.reshape(-1)))
 
 
-def _sector_blocks(op, order, cuts):
-    """{(s, t): block of op from sector t to sector s} in op's own form,
-    CSR or dense, for the sectors op[order][:, order] holds between cuts."""
+def _block(op, rows, cols):
+    """The block of op from the states cols to the states rows, a copy in
+    op's own form, CSR or dense."""
     if sp.issparse(op):
-        op = sp.csr_matrix(op, dtype=complex)[order][:, order]
-    else:
-        op = np.asarray(op, dtype=complex).take(order, 0).take(order, 1)
-    return {(s, t): op[a:b, c:d] for s, (a, b) in enumerate(cuts)
-            for t, (c, d) in enumerate(cuts)}
+        return sp.csr_matrix(op, dtype=complex)[rows][:, cols]
+    return np.asarray(op, dtype=complex).take(rows, 0).take(cols, 1)
 
 
 def _nonzero(block):
@@ -145,33 +148,30 @@ def _dense(block):
 
 
 def _sector_split(H, jumps, sectors):
-    """H's diagonal sector blocks, dense, and the jumps' nonzero sector
-    blocks as (s, t, stack of the dense ones, list of the sparse ones) for
-    each pair of sectors a jump takes t to s.  Raises ValueError when H
-    couples two sectors or a jump both keeps and flips the sector."""
-    order = np.concatenate(sectors)
-    dims = [i.size for i in sectors]
-    ends = np.cumsum(dims)
-    cuts = list(zip(ends - dims, ends))
-    hb = _sector_blocks(H, order, cuts)
-    if any(s != t and _nonzero(x) for (s, t), x in hb.items()):
+    """H's diagonal sector blocks, dense; the jumps' nonzero sector blocks,
+    in their own form, as (s, t, list of blocks) for each pair of sectors a
+    jump takes t to s; and the pairs (s, t) of each jump.  Raises
+    ValueError when H couples two sectors or a jump both keeps and flips
+    the sector."""
+    st = [(s, t) for s in range(len(sectors)) for t in range(len(sectors))]
+    if any(_nonzero(_block(H, sectors[s], sectors[t])) for s, t in st
+           if s != t):
         raise ValueError("H couples states of opposite parity")
     links = {}
+    pairs = []
     for k, g in enumerate(jumps):
         if g.shape != H.shape:
             raise ValueError("jump dimension does not match H (%d)"
                              % H.shape[0])
-        nz = {st: x for st, x in _sector_blocks(g, order, cuts).items()
-              if _nonzero(x)}
+        nz = {(s, t): x for s, t in st
+              if _nonzero(x := _block(g, sectors[s], sectors[t]))}
         if len({s == t for s, t in nz}) > 1:
             raise ValueError("jump %d both keeps and flips parity" % k)
-        for st, x in nz.items():
-            links.setdefault(st, []).append(x)
-    return ([_dense(hb[s, s]) for s in range(len(sectors))],
-            [(s, t, np.array([x for x in xs if not sp.issparse(x)],
-                             dtype=complex).reshape(-1, dims[s], dims[t]),
-              [x for x in xs if sp.issparse(x)])
-             for (s, t), xs in links.items()])
+        pairs.append(list(nz))
+        for key, x in nz.items():
+            links.setdefault(key, []).append(x)
+    return ([_dense(_block(H, i, i)) for i in sectors],
+            [(s, t, xs) for (s, t), xs in links.items()], pairs)
 
 
 def available_memory():
@@ -190,16 +190,116 @@ def solve_bytes(dims, n_dense, sparse_nnz):
     """Peak bytes of steady_state_direct on parity sectors of dims states
     with n_dense dense D x D jumps and sparse ones of sparse_nnz entries in
     all: 16 (De^2 + Do^2) bytes for each of GMRES_RESTART + 1 Krylov
-    vectors, 7 Schur and preconditioner arrays and 12 work arrays; GMRES's
-    Hessenberg matrix; 16 D^2 bytes for H in sector order, the returned rho
-    and three copies of each dense jump (as given, a corner block's own
-    list; in sector order; as sector blocks with adjoints); 80 bytes a
-    sparse entry, the jumps as given included."""
+    vectors (the basis is never copied), 6 Schur-basis arrays (H_eff, U,
+    U^dag, T, T^dag and the preconditioner) and 12 work arrays, and for each
+    dense jump three times its sector blocks (at most De^2 + Do^2 entries):
+    rotated, their adjoint, and a matvec's product of them with rho; GMRES's
+    Hessenberg columns; 16 D^2 bytes for H's sector blocks, the returned
+    rho and each dense jump as given (a corner block's own list); 80 bytes
+    a sparse entry, the jumps as given included."""
     d = sum(dims)
-    return (16 * ((GMRES_RESTART + 1 + 7 + 12) * sum(x * x for x in dims)
+    return (16 * ((GMRES_RESTART + 1 + 6 + 12 + 3 * n_dense)
+                  * sum(x * x for x in dims)
                   + GMRES_RESTART * (GMRES_RESTART + 1)
-                  + (2 + 3 * n_dense) * d * d)
+                  + (2 + n_dense) * d * d)
             + 80 * sparse_nnz)
+
+
+def _givens(f, g):
+    """(c, s, r) with [[c, s], [-s^*, c]] [f, g] = [r, 0]: LAPACK's lartg
+    on Python scalars, for complex f and real g >= 0."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0:
+        return 0.0, 1.0, g
+    af = abs(f)
+    norm = math.hypot(af, g)
+    phase = f / af
+    return af / norm, phase * (g / norm), phase * norm
+
+
+def _norm(x):
+    """2-norm of a complex vector, without np.linalg.norm's call overhead."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def _gmres(matvec, psolve, b, rtol, restart, maxiter):
+    """x with ||b - matvec(x)|| <= rtol ||b|| by GMRES from x = 0, left-
+    preconditioned by psolve and restarted every restart iterations for at
+    most maxiter cycles, and its iteration count.
+
+    The rules are scipy.sparse.linalg.gmres's at atol = 0.  A cycle stops
+    when its preconditioned residual presid falls to ptol, at first rtol
+    ||psolve(b)||, or the Krylov space holds the solution (breakdown).  It
+    ends on the true residual: x is returned when ||b - matvec(x)|| <= rtol
+    ||b|| or the cycle broke down, else ptol = presid min(fac, rtol ||b|| /
+    ||b - matvec(x)||), fac quartered (down to eps) after a cycle that met
+    ptol and raised 1.5-fold (up to 1) after one that did not.  Arnoldi is
+    block classical Gram-Schmidt with one re-orthogonalisation, V^H w formed
+    as conj(V @ conj(w)) so that the basis is never copied; the Hessenberg
+    columns and Givens rotations are Python scalars.
+    """
+    n = b.size
+    restart = min(restart, n)
+    eps = np.finfo(float).eps
+    bnorm = _norm(b)
+    atol = rtol * bnorm
+    r = psolve(b)
+    ptol = _norm(r) * min(1.0, atol / bnorm)
+    fac = 1.0
+    x = np.zeros(n, dtype=complex)
+    v = np.empty((restart + 1, n), dtype=complex)
+    iterations = 0
+    for _ in range(maxiter):
+        beta = _norm(r)
+        np.multiply(r, 1.0 / beta, out=v[0])
+        rhs = [beta]
+        cols = []                     # columns of the rotated Hessenberg R
+        rots = []
+        for j in range(restart):
+            w = psolve(matvec(v[j]))
+            h0 = _norm(w)
+            basis = v[:j + 1]
+            h = np.conj(basis @ np.conj(w))
+            w -= h @ basis
+            dh = np.conj(basis @ np.conj(w))
+            w -= dh @ basis
+            h1 = _norm(w)
+            breakdown = h1 <= eps * h0
+            if breakdown:
+                h1 = 0.0
+            else:
+                np.multiply(w, 1.0 / h1, out=v[j + 1])
+            col = (h + dh).tolist()
+            for k, (c, s) in enumerate(rots):
+                col[k], col[k + 1] = (c * col[k] + s * col[k + 1],
+                                      c * col[k + 1] - s.conjugate() * col[k])
+            c, s, col[j] = _givens(col[j], h1)
+            rots.append((c, s))
+            cols.append(col)
+            rhs.append(-s.conjugate() * rhs[j])
+            rhs[j] *= c
+            presid = abs(rhs[j + 1])
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+        y = rhs[:len(cols)]           # back substitution R y = rhs
+        if cols[-1][-1] == 0:
+            y[-1] = 0.0
+        for k in range(len(cols) - 1, -1, -1):
+            if y[k] != 0:
+                y[k] /= cols[k][k]
+                for i in range(k):
+                    y[i] -= y[k] * cols[k][i]
+        x += np.array(y) @ v[:len(cols)]
+        r = b - matvec(x)
+        rnorm = _norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        fac = max(eps, 0.25 * fac) if presid <= ptol else min(1.0, 1.5 * fac)
+        ptol = presid * min(fac, atol / rnorm)
+        r = psolve(r)
+    return x, iterations
 
 
 def steady_state_direct(H, jumps, parity=None):
@@ -211,26 +311,37 @@ def steady_state_direct(H, jumps, parity=None):
     it, so the steady state is block-diagonal in the parity sectors, and rho
     is stored and iterated as its sector blocks: GMRES vectors hold De^2 +
     Do^2 entries, not D^2.  A parity vector that H couples across, or a jump
-    that both keeps and flips, raises ValueError before any iteration.  Each
-    jump keeps only its nonzero sector blocks, in the form it was handed
-    over: dense blocks are applied as batched matmuls, sparse ones as
-    sparse x dense products, never densified.
+    that both keeps and flips, raises ValueError before any iteration.
 
     Solves L(rho) + w tr(rho) I = w I with L(rho) as in the module
-    docstring.  The preconditioner inverts the Sylvester part S(rho) = -i
-    (H_eff rho - rho H_eff^dag) sector by sector on the diagonal lam of the
-    Schur form H_eff = U T U^dag, as U (U^dag (i R) U / (lam_i - lam_j^*))
-    U^dag, with a Sherman-Morrison term for w tr(rho) I; GMRES handles the
-    rest of T, whose share ||strict_upper(T)||_F / ||T||_F, pooled over the
-    sectors, is diagnostics["nonnormality"].  S is damped by sigma = 1e-3
-    of the mean decay rate: a dark state of H_eff (a real eigenvalue, such
-    as an undriven vacuum) makes S singular and stalls GMRES on an already
-    accurate state.
+    docstring, in the Schur basis of each sector's H_eff = U T U^dag: the
+    unknown is rho~ = U^dag rho U, block by block.  There the Sylvester part
+    S(rho) = -i (H_eff rho - rho H_eff^dag) reads -i (T rho~ - rho~ T^dag),
+    and the preconditioner inverts it on the diagonal lam of T, as one
+    elementwise product of the packed vector with i / (lam_i - lam_j^*),
+    with a Sherman-Morrison term for w tr(rho) I (trace and identity are
+    unitary-invariant); GMRES handles the rest of T, whose share
+    ||strict_upper(T)||_F / ||T||_F, pooled over the sectors, is
+    diagnostics["nonnormality"].  S is damped by sigma = 1e-3 of the mean
+    decay rate: a dark state of H_eff (a real eigenvalue, such as an
+    undriven vacuum) makes S singular and stalls GMRES on an already
+    accurate state.  Each jump keeps only its nonzero sector blocks, in the
+    form it was handed over: dense blocks are rotated once, U_s^dag g U_t,
+    sparse ones act as sparse x dense products in the original basis,
+    between one rotation U . U^dag of each sector and one U^dag . U, never
+    densified.  An iteration costs two matmuls per sector for S, two per
+    pair of sectors that dense jumps link (all their blocks in one
+    product), and with sparse jumps four more per sector and the sparse
+    products; the preconditioner does no matmul.
 
-    The solve is judged by the true residual ||L(rho)||_F of the returned
-    state (L of a block-diagonal rho has no cross-sector blocks) against
-    RESIDUAL_TOL times the operator scale 2 ||H_eff||_F + sum_k ||g_k||_F^2,
-    not by GMRES's exit code; a miss is flagged HIGH_RESIDUAL.  The
+    GMRES is _gmres, with scipy's rules: rtol 0.01 RESIDUAL_TOL, restarts
+    every GMRES_RESTART iterations, at most 10 cycles.  Its exit is not
+    consulted: near-singular preconditioners (G -> 0) can stall its
+    preconditioned residual on an accurate state.  The solve is judged by
+    the true residual ||L(rho)||_F of the returned state, rotated back and
+    computed from H and the jumps as given (L of a block-diagonal rho has
+    no cross-sector blocks), against RESIDUAL_TOL times the operator scale
+    2 ||H_eff||_F + sum_k ||g_k||_F^2; a miss is flagged HIGH_RESIDUAL.  The
     result's residual is the absolute ||L(rho)||_F and its iterations the
     GMRES count.  Its method is "direct", the name of the full-space route
     in sweep records, although nothing is factorized.  A 1 x 1 system has
@@ -249,94 +360,107 @@ def steady_state_direct(H, jumps, parity=None):
     sectors = [i for i in sectors if i.size]
     if sum(i.size for i in sectors) != m:
         raise ValueError("parity must be +-1 on each of the %d states" % m)
-    heff, links = _sector_split(H, jumps, sectors)
+    dims = [i.size for i in sectors]
+    heff, links, pairs = _sector_split(H, jumps, sectors)
     if not links:
         raise ValueError("zero-jump Liouvillian: every function of H is "
                          "steady, no unique steady state")
     rates = 0.0
-    terms = []          # (s, t, dense stack, its adjoint, sparse pairs)
-    for s, t, g, sparse in links:
-        for x in [*g, *sparse]:   # block by block: both forms round alike
+    for s, t, xs in links:
+        for x in xs:              # block by block: both forms round alike
             heff[t] = heff[t] - 0.5j * _dense(x.conj().T @ x)
             rates += np.linalg.norm(x.data if sp.issparse(x) else x) ** 2
-        terms.append((s, t, g, g.conj().transpose(0, 2, 1),
-                      [(x, x.conj()) for x in sparse]))
     scale = 2.0 * np.sqrt(sum(np.linalg.norm(x) ** 2 for x in heff)) + rates
     w = scale / m        # the trace term's eigenvalue w D is then ~ ||L||
     sigma = 1e-3 * rates / m
-    pre = []            # per sector: U, U^dag, i / (lam_i - lam_j^*)
+    u, uh, gen, inv = [], [], [], []  # per sector; S(r~) = gen r~ + r~ gen^dag
     upper = total = 0.0
     for x in heff:
-        t, u = scipy.linalg.schur(x, output="complex")
+        t, q = scipy.linalg.schur(x, output="complex")
         upper += np.linalg.norm(np.triu(t, 1)) ** 2
         total += np.linalg.norm(t) ** 2
         lam = np.diag(t) - 0.5j * sigma       # S - sigma: H_eff - i sigma / 2
-        pre.append((u, u.conj().T, 1j / (lam[:, None] - lam.conj()[None, :])))
+        u.append(q)
+        uh.append(q.conj().T)
+        gen.append(-1j * t)
+        inv.append(1j / (lam[:, None] - lam.conj()[None, :]))
     nonnormality = float(np.sqrt(upper / total))
-    gen = [-1j * x for x in heff]         # S(rho) = gen rho + rho gen^dag
     gen_h = [x.conj().T for x in gen]
+    # the K dense blocks g_k from sector t to s, rotated, are kept as the
+    # ds K x dt stack G (row i K + k holds row i of g_k) and the adjoint of
+    # its ds x K dt reshape [g_1 .. g_K], so that sum_k g_k r g_k^dag is
+    # two matmuls: (G r), reshaped to ds x K dt, times [g_1 .. g_K]^dag
+    dense = []          # (s, t, G, [g_1 .. g_K]^dag)
+    sparse = []         # (s, t, [(x, x^*)]) in the original basis
+    while links:                    # each link's blocks freed once rotated
+        s, t, xs = links.pop()
+        g = [x for x in xs if not sp.issparse(x)]
+        xs = [(x, x.conj()) for x in xs if sp.issparse(x)]
+        if g:
+            g = uh[s] @ np.stack(g, axis=1).reshape(dims[s], -1)
+            g = g.reshape(-1, dims[t]) @ u[t]
+            dense.append((s, t, g, g.reshape(dims[s], -1).conj().T))
+        if xs:
+            sparse.append((s, t, xs))
 
-    dims = [i.size for i in sectors]
     offs = np.cumsum([0] + [d * d for d in dims])
     diag = np.concatenate([o + np.arange(d) * (d + 1)
                            for o, d in zip(offs, dims)])
+    inv = np.concatenate([x.reshape(-1) for x in inv])
+    inv_diag = inv[diag]
+    denom = 1.0 + w * inv_diag.sum()
 
     def unpack(x):
         return [x[a:b].reshape(d, d) for a, b, d in zip(offs, offs[1:], dims)]
 
-    def pack(blocks):
-        return np.concatenate([y.reshape(-1) for y in blocks])
-
-    def lindblad(rhos):
-        out = [x @ r + r @ xh for x, xh, r in zip(gen, gen_h, rhos)]
-        for s, t, g, gh, sparse in terms:
-            r = rhos[t]
-            out[s] += (g @ r @ gh).sum(axis=0)
-            for x, xc in sparse:             # x r x^dag = (x^* (x r)^T)^T
-                out[s] += (xc @ (x @ r).T).T
-        return out
-
     def matvec(x):
-        out = pack(lindblad(unpack(x)))
+        rhos = unpack(x)
+        out = np.empty_like(x)
+        outs = unpack(out)
+        for o, g, gh, r in zip(outs, gen, gen_h, rhos):
+            np.matmul(g, r, out=o)
+            o += r @ gh
+        for s, t, g, gh in dense:
+            outs[s] += (g @ rhos[t]).reshape(dims[s], -1) @ gh
+        if sparse:
+            orig = [a @ r @ ah for a, ah, r in zip(u, uh, rhos)]
+            acc = [np.zeros_like(r) for r in rhos]
+            for s, t, xs in sparse:
+                for g, gc in xs:          # g r g^dag = (g^* (g r)^T)^T
+                    acc[s] += (gc @ (g @ orig[t]).T).T
+            for o, a, ah, y in zip(outs, u, uh, acc):
+                o += ah @ y @ a
         out[diag] += w * x[diag].sum()
         return out
 
-    def sylvester_inv(rs):
-        return [u @ ((uh @ r @ u) * inv) @ uh
-                for (u, uh, inv), r in zip(pre, rs)]
-
-    z = pack(sylvester_inv([np.eye(d, dtype=complex) for d in dims]))
-    denom = 1.0 + w * z[diag].sum()
-
     def psolve(x):
-        y = pack(sylvester_inv(unpack(x)))
-        y -= z * (w * y[diag].sum() / denom)
+        y = x * inv
+        y[diag] -= inv_diag * (w * y[diag].sum() / denom)
         return y
 
-    n = int(offs[-1])
-    b = np.zeros(n, dtype=complex)
+    b = np.zeros(int(offs[-1]), dtype=complex)
     b[diag] = w
-    norms = []                # GMRES's preconditioned residual per iteration
-
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    prec = spla.LinearOperator((n, n), matvec=psolve, dtype=complex)
-    # GMRES's exit code is not consulted: near-singular preconditioners
-    # (G -> 0) can stall its preconditioned residual on an accurate state,
-    # so the true residual below decides
-    x, _ = spla.gmres(op, b, M=prec, rtol=0.01 * RESIDUAL_TOL, atol=0.0,
-                      restart=GMRES_RESTART, maxiter=10,
-                      callback=norms.append, callback_type="pr_norm")
-    rhos = [0.5 * (r + r.conj().T) for r in unpack(x)]
+    x, iterations = _gmres(matvec, psolve, b, 0.01 * RESIDUAL_TOL,
+                           GMRES_RESTART, 10)
+    rhos = [a @ r @ ah for a, ah, r in zip(u, uh, unpack(x))]
+    rhos = [0.5 * (r + r.conj().T) for r in rhos]
     trace = sum(r.trace().real for r in rhos)
     rhos = [r / trace for r in rhos]
-    residual = float(np.linalg.norm(pack(lindblad(rhos))))
+    out = [-1j * (h @ r - r @ h.conj().T) for h, r in zip(heff, rhos)]
+    for g, gp in zip(jumps, pairs):       # one jump's blocks at a time
+        for s, t in gp:
+            x = _block(g, sectors[s], sectors[t])
+            xr = x @ rhos[t]
+            out[s] += ((x.conj() @ xr.T).T if sp.issparse(x)
+                       else xr @ x.conj().T)
+    residual = float(np.sqrt(sum(np.linalg.norm(y) ** 2 for y in out)))
     rho = np.zeros((m, m), dtype=complex)
     for i, r in zip(sectors, rhos):
         rho[np.ix_(i, i)] = r
     flags = () if residual <= RESIDUAL_TOL * scale else ("HIGH_RESIDUAL",)
     return SteadyStateResult(
         rho=DensityMatrix(rho), residual=residual, method="direct",
-        iterations=len(norms), wall_time=time.time() - t0, flags=flags,
+        iterations=iterations, wall_time=time.time() - t0, flags=flags,
         diagnostics={"nonnormality": nonnormality})
 
 

@@ -1,7 +1,9 @@
 """The matrix-free steady-state kernel against a dense np.kron oracle."""
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import catlattice.corner as corner
 import catlattice.liouville as liouville
@@ -272,3 +274,85 @@ def test_failed_block_flags_the_run(monkeypatch):
     params = ModelParams.resonant(g=1.5, **DESK)
     run = corner_steady_state(chain(4), params, FockSpace(2), 12)
     assert "HIGH_RESIDUAL" in run.result.flags
+
+
+def scipy_gmres(a, p, b, rtol, restart, maxiter=10):
+    x, _ = spla.gmres(a, b, M=p, rtol=rtol, atol=0.0, restart=restart,
+                      maxiter=maxiter)
+    return x
+
+
+def gmres_system(case):
+    """(A, P, b, restart) of a small complex system for case."""
+    rng = np.random.default_rng(0)
+    n = 30
+    a = np.eye(n) + 0.3 * (rng.normal(size=(n, n))
+                           + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if case == "rescaled":
+        # rows scaled over 1e3: the first cycle meets its preconditioned
+        # tolerance but not the true residual, so it restarts
+        a = np.logspace(0, 3, n)[:, None] * a
+    if case == "invariant":
+        # b on two eigenvectors of a diagonal A, no preconditioner: the
+        # second Krylov vector completes an invariant subspace that holds
+        # the solution
+        a = np.diag(np.arange(1.0, n + 1)).astype(complex)
+        b = np.zeros(n, dtype=complex)
+        b[:2] = 1.0, 2.0j
+        return a, np.eye(n), b, 40
+    return a, np.diag(1.0 / np.diag(a)), b, 5 if case == "short" else 40
+
+
+@pytest.mark.parametrize("case", ["random", "rescaled", "short",
+                                  "invariant"])
+def test_gmres_matches_scipy(case):
+    a, p, b, restart = gmres_system(case)
+    rtol = 1e-12
+    x, iterations = liouville._gmres(lambda v: a @ v, lambda v: p @ v, b,
+                                     rtol, restart, 10)
+    ref = scipy_gmres(a, p, b, rtol, restart)
+    for y in (x, ref):
+        assert np.linalg.norm(b - a @ y) <= rtol * np.linalg.norm(b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    first, first_iterations = liouville._gmres(
+        lambda v: a @ v, lambda v: p @ v, b, rtol, restart, 1)
+    if case == "invariant":
+        assert iterations == 2
+    elif case in ("rescaled", "short"):
+        assert iterations > first_iterations
+        assert np.linalg.norm(b - a @ first) > rtol * np.linalg.norm(b)
+        if case == "rescaled":
+            assert first_iterations < restart
+
+
+def test_residual_comes_from_the_operators_as_given(monkeypatch):
+    # a dense block like a merge's, both parity sectors, 5 jumps and a far
+    # from normal H_eff, so that the Schur basis the kernel iterates in is
+    # far from any eigenbasis
+    h, jumps, parity = random_parity_lindbladian(16, 5, 5)
+    assert set(parity) == {1.0, -1.0}
+    out = steady_state_direct(h, jumps, parity=parity)
+    assert not out.flags and out.diagnostics["nonnormality"] >= 0.05
+    sup = liouville.vectorize_lindbladian(h, jumps).sup.toarray()
+    _, s, vh = np.linalg.svd(sup)
+    assert s[-2] > 1e-10 * s[0]
+    ref = vh[-1].conj().reshape(16, 16)
+    ref /= ref.trace()
+    assert np.abs(out.rho.mat - ref).max() < 1e-10
+    assert out.residual == pytest.approx(
+        np.linalg.norm(sup @ out.rho.mat.reshape(-1)), rel=1e-6)
+    # with Schur vectors off by 1e-6 the iteration solves another problem;
+    # the residual, taken from h and the jumps, must say so
+    real = scipy.linalg.schur
+    rng = np.random.default_rng(1)
+
+    def perturbed(a, output):
+        t, u = real(a, output=output)
+        return t, u + 1e-6 * rng.normal(size=u.shape)
+
+    monkeypatch.setattr(liouville.scipy.linalg, "schur", perturbed)
+    bad = steady_state_direct(h, jumps, parity=parity)
+    assert bad.flags == ("HIGH_RESIDUAL",)
+    assert bad.residual == pytest.approx(
+        np.linalg.norm(sup @ bad.rho.mat.reshape(-1)), rel=1e-6)

@@ -8,10 +8,11 @@ import scipy.sparse as sp
 import catlattice.corner as corner
 from catlattice.corner import (convergence_sweep, corner_steady_state,
                                merge_spaces, project_pair)
-from catlattice.fock import (FockSpace, annihilation_op, number_op, parity_op,
-                             total_number_diagonal)
+from catlattice.fock import (FockSpace, annihilation_op, embed_site_op,
+                             number_op, parity_op, total_number_diagonal)
 from catlattice.lattice import (ModelParams, build_hamiltonian,
-                                build_jump_operators, chain, rectangle)
+                                build_jump_operators, chain, jump_operators,
+                                lattice_hamiltonian, rectangle)
 from catlattice.liouville import (DensityMatrix, steady_state_direct,
                                   steady_state_eigen, vectorize_lindbladian)
 from catlattice.observables import (parity_expectation, trace_distance,
@@ -258,6 +259,41 @@ def test_leaf_is_the_lattice_hamiltonian(monkeypatch):
         assert np.array_equal(run.n_op.diagonal(),
                               total_number_diagonal(f, n))
         assert run.result.method == "direct" and run.steps == []
+
+
+LEAF_PARAMS = [ModelParams.resonant(u=100.0, j_hop=50.0, g=5.0),
+               ModelParams(delta=-3.0, u=20.0, g=1.5 - 0.7j, j_hop=10.0,
+                           gamma=2.0, eta=0.5)]
+
+
+@pytest.mark.parametrize("params", LEAF_PARAMS)
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("geom", [chain(1), chain(2), chain(3), chain(4),
+                                  rectangle(2, 2)])
+def test_dense_leaf_equals_sparse_embedded_build(geom, n_max, params):
+    # a leaf of up to DENSE_LEAF_DIM states is built from np.kron site
+    # operators; it must equal, bit for bit, the same leaf built from
+    # fock.embed_site_op's CSR site operators made dense
+    f = FockSpace(n_max)
+    n = geom.n_sites
+    blk = corner._build_leaf(corner.Region(0, 0, *geom.extents), geom,
+                             params, f)
+    a_ops = [embed_site_op(annihilation_op(f), k, n) for k in range(n)]
+    if f.dim ** n <= corner.DENSE_LEAF_DIM:
+        a_ops = [a.toarray() for a in a_ops]
+    h = lattice_hamiltonian(params, a_ops, [(b.i, b.j, b.weight)
+                                            for b in geom.bonds],
+                            geom.dimensionality)
+    assert np.array_equal(blk.h, h.toarray() if sp.issparse(h) else h)
+    ref = jump_operators(params, a_ops)
+    assert len(blk.jumps) == len(ref)
+    for g, r in zip(blk.jumps, ref):
+        assert sp.issparse(g) == sp.issparse(r)
+        assert np.array_equal(g.toarray() if sp.issparse(g) else g,
+                              r.toarray() if sp.issparse(r) else r)
+    n_diag = total_number_diagonal(f, n)
+    assert np.array_equal(blk.n_op.toarray(), np.diag(n_diag))
+    assert np.array_equal(blk.parity, (-1.0) ** n_diag)
 
 
 def test_kernel_takes_each_blocks_own_jumps(monkeypatch):

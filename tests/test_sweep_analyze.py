@@ -166,21 +166,22 @@ def test_exact_record_is_the_full_space_kernel(tmp_path, size, n_max):
 def test_exact_memory_budgets_parity_sectors():
     # the 4-ring at n_max 4 (D = 625, K = 8 sparse jumps): sectors of 313
     # and 312 states.  A traced build and solve of that leaf peaks at
-    # 173 MiB of arrays, against 203 MiB estimated.  The block's own jumps
+    # 172 MiB of arrays, against 200 MiB estimated.  The block's own jumps
     # are the ones solve_bytes counts as handed over, so it adds h and n_op
     kernel = liouville.solve_bytes((313, 312), 0, 8 * 625)
-    assert kernel == (16 * (60 * (313**2 + 312**2) + 40 * 41 + 2 * 625**2)
+    assert kernel == (16 * (59 * (313**2 + 312**2) + 40 * 41 + 2 * 625**2)
                       + 80 * 8 * 625)
     params = RunConfig.from_dict(dict(MINI)).model_params(2.0)
     need = corner._block_bytes((313, 312), 4, False, params)
     assert need == kernel + 32 * 625**2
-    assert need == 212_926_720
+    assert need == 209_801_712
     # at odd n_max the sectors are equal: 128 and 128 states of D = 256
     assert liouville.solve_bytes((128, 128), 0, 4 * 256) \
-        == 16 * (60 * 2 * 128**2 + 40 * 41 + 2 * 256**2) + 80 * 256 * 4
-    # a merge holds its jumps dense: three D x D copies of each
+        == 16 * (59 * 2 * 128**2 + 40 * 41 + 2 * 256**2) + 80 * 256 * 4
+    # a merge holds its jumps dense: each as given (D x D) and its sector
+    # blocks three times (rotated, adjoint, and one matvec product)
     assert liouville.solve_bytes((132, 124), 8, 0) \
-        == 16 * (60 * (132**2 + 124**2) + 40 * 41 + 26 * 256**2)
+        == 16 * ((59 + 3 * 8) * (132**2 + 124**2) + 40 * 41 + 10 * 256**2)
 
 
 def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
@@ -210,8 +211,8 @@ def test_exact_point_beyond_memory_fails_alone(tmp_path, monkeypatch):
 
 
 def test_corner_merge_beyond_memory_fails_alone(tmp_path, monkeypatch):
-    # the 3-chain's merge keeps all 125 products and needs about 13 MB; the
-    # 4-chain's keeps all 625 (about 0.36 GB) and is refused once
+    # the 3-chain's merge keeps all 125 products and needs about 12 MB; the
+    # 4-chain's keeps all 625 (about 0.33 GB) and is refused once
     # merge_spaces has fixed its M, before any operator is projected.  Its
     # leaves fit, so they are built and solved first.
     monkeypatch.setattr(corner, "available_memory", lambda: 100 * 2**20)
