@@ -10,6 +10,11 @@ read by lattice.geometry_from_size, so "4", "1x4" and "4x1" are all a
 parameters.  The 2D lattice uses the classical 3D Ising pair and the 1D
 array the classical 2D Ising pair; the linear size is L = sqrt(N) in 2D
 and L = N in 1D.
+
+The monotone cubic, the root refinement and the least-squares spline are
+short numpy functions here, matching scipy's PchipInterpolator, brentq and
+LSQUnivariateSpline, so that importing the package loads no scipy
+interpolate or optimize.
 """
 from __future__ import annotations
 
@@ -17,8 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import LSQUnivariateSpline, PchipInterpolator
-from scipy.optimize import brentq
 
 from .lattice import geometry_from_size
 
@@ -119,12 +122,75 @@ def rescale(ds, g_c):
     return out
 
 
+def _pchip(x, y):
+    """Monotone cubic through (x, y): scipy's PchipInterpolator rule.
+
+    An interior slope is the weighted harmonic mean of its two secants, or
+    zero where they differ in sign or one is flat.  An end slope is the
+    three-point one-sided estimate, zeroed if its sign is not the end
+    secant's and clamped to 3x that secant where the first two secants
+    differ in sign.  Two points give the line.  Returns a function that
+    evaluates the cubic Hermite pieces; past either end it continues the
+    end piece.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(len(x), m[0])
+    if len(x) > 2:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        ok = np.sign(m[:-1]) * np.sign(m[1:]) > 0
+        d[1:-1] = 0.0
+        d[1:-1][ok] = 1.0 / ((w1[ok] / m[:-1][ok] + w2[ok] / m[1:][ok])
+                             / (w1[ok] + w2[ok]))
+        for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                    (-1, h[-1], h[-2], m[-1], m[-2])):
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            if np.sign(e) != np.sign(m0):
+                e = 0.0
+            elif np.sign(m0) != np.sign(m1) and abs(e) > 3 * abs(m0):
+                e = 3 * m0
+            d[end] = e
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def f(g):
+        i = np.clip(np.searchsorted(x, g, side="right") - 1, 0, len(x) - 2)
+        s = g - x[i]
+        return c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+    return f
+
+
+def _refine_root(f, a, b, fa, fb):
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
+
+    Illinois regula falsi: secant steps that keep the root bracketed, with
+    the kept end's value halved each time the same end is kept twice in a
+    row.  It stops once the bracket is no wider than 4 eps |x|, tighter
+    than brentq's default 2e-12 + 4 eps |x|, or where f is exactly zero.
+    """
+    for _ in range(200):
+        if abs(b - a) <= 4 * np.finfo(float).eps * abs(b):
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+    return b
+
+
 def find_crossing(ds):
     """Crossing point of the rescaled parity curves.
 
     Each size's y(G) = Pi(G) L^{beta/nu} is interpolated with a monotone
-    cubic; for every size pair the difference is bracketed on a grid of 512
-    points and refined by brentq.  G_c is the median of the pairwise
+    cubic (_pchip); for every size pair the difference is bracketed on a
+    grid of 512 points and each bracket refined by Illinois regula falsi
+    (_refine_root), at least as tightly as brentq would.  G_c is the median
+    of the pairwise
     crossings and the uncertainty their interquartile range.  Pairs whose
     curves never cross in the common G window are skipped with a warning;
     if every pair is skipped the search fails.
@@ -139,7 +205,7 @@ def find_crossing(ds):
                              % (label, len(gs)))
     interps = {}
     for label, (L, gs, par, _) in curves.items():
-        interps[label] = (PchipInterpolator(gs, par * L ** (ds.beta / ds.nu)),
+        interps[label] = (_pchip(gs, par * L ** (ds.beta / ds.nu)),
                           gs[0], gs[-1])
 
     roots = []
@@ -166,7 +232,8 @@ def find_crossing(ds):
                     roots.append((la, lb, float(grid[k])))
                     found = True
                 elif d0 * d1 < 0:
-                    g = brentq(lambda t: fa(t) - fb(t), grid[k], grid[k + 1])
+                    g = _refine_root(lambda t: fa(t) - fb(t),
+                                     grid[k], grid[k + 1], d0, d1)
                     roots.append((la, lb, float(g)))
                     found = True
             if diff[-1] == 0.0:
@@ -200,13 +267,39 @@ def find_crossing(ds):
     )
 
 
+def _lsq_cubic_spline(x, y, knots):
+    """Values at x of the least-squares cubic spline with these interior knots.
+
+    x and the knots increase strictly, the knots within [x[0], x[-1]]; the
+    knot vector is clamped, with four copies of each end of x.  The design
+    matrix holds the B-splines at x from the Cox-de Boor recursion.  A rank
+    below the coefficient count (some B-splines without the abscissae the
+    Schoenberg-Whitney conditions ask for, a knot on an end among them)
+    raises ValueError, where FITPACK refuses the same knots.
+    """
+    t = np.concatenate(([x[0]] * 4, knots, [x[-1]] * 4))
+    last = np.clip(np.searchsorted(t, x, side="right") - 1, 3, len(t) - 5)
+    basis = (np.arange(len(t) - 1) == last[:, None]).astype(float)
+    for d in (1, 2, 3):
+        span = t[d:] - t[:-d]
+        inv = np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
+        w = (x[:, None] - t[:-d]) * inv
+        basis = w[:, :-1] * basis[:, :-1] + (1.0 - w[:, 1:]) * basis[:, 1:]
+    coef, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
+    if rank < basis.shape[1]:
+        raise ValueError("knots violate the Schoenberg-Whitney conditions")
+    return basis @ coef
+
+
 def collapse_quality(ds, g_c):
     """Mean squared deviation from a pooled master spline over y-variance.
 
     All rescaled points are pooled and fit by one least-squares cubic
-    spline with up to 8 interior knots at x-quantiles; the normalized
-    residual is zero for a perfect collapse and grows as the curves splay
-    apart.  A single-size dataset collapses trivially and scores zero.
+    spline (_lsq_cubic_spline) with up to 8 interior knots at x-quantiles,
+    dropping a knot while the knots leave the fit underdetermined; with
+    none left the fit is a cubic polynomial.  The normalized residual is
+    zero for a perfect collapse and grows as the curves splay apart.  A
+    single-size dataset collapses trivially and scores zero.
     """
     tabs = rescale(ds, g_c)
     if len(tabs) == 1:
@@ -236,11 +329,10 @@ def collapse_quality(ds, g_c):
         qs = (np.arange(n_knots) + 1.0) / (n_knots + 1.0)
         knots = np.unique(np.quantile(x[1:-1], qs))
         try:
-            spl = LSQUnivariateSpline(x, y, knots, k=k)
+            fit = _lsq_cubic_spline(x, y, knots)
         except ValueError:
             n_knots -= 1
             continue
-        fit = spl(x)
         break
     return float(np.mean((y - fit) ** 2) / var)
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize_scalar
 
 from .fock import (FockSpace, annihilation_op, embed_site_op, parity_op,
                    _check_cap)
@@ -219,6 +218,7 @@ def estimate_alpha(params, fock):
     below it the overlap is maximized by alpha -> 0 and the result simply
     reports a near-vacuum state.  Returns complex alpha.
     """
+    from scipy.optimize import minimize_scalar   # only map-spin needs it
     single = chain(1)
     h = build_hamiltonian(params, single, fock)
     jumps = build_jump_operators(params, single, fock)

@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
+import catlattice
 import catlattice.validate as validate
 from catlattice.cli import main
 
@@ -235,3 +238,40 @@ def test_map_spin_beyond_dimension_cap_exits_2(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "exceeds the hard cap" in err and "Traceback" not in err
+
+
+IMPORT_FOOTPRINT = """
+import json, sys
+import numpy as np
+import catlattice, catlattice.cli
+loaded = {"import": sorted(m for m in sys.modules if m.startswith("scipy."))}
+cfg = catlattice.RunConfig.from_dict({
+    "label": "footprint", "u": 100.0, "j_hop": 50.0, "sizes": [2, 3],
+    "n_max": 1, "g_values": [1.0, 2.0],
+    "solver": {"method": "auto", "exact_dim_cap": 4},
+    "corner": {"m_list": [4, 6], "drift_tol": 1e-3},
+    "output_dir": sys.argv[1]})
+assert catlattice.run_sweep(cfg).last_sweep["n_failed"] == 0
+rows = [{"size": str(n), "G_over_gamma": g, "entropy": 0.1,
+         "parity": 0.5 / (1.0 + np.exp((g - 2.0) * n)) * n ** -0.125}
+        for n in (2, 3, 4) for g in np.linspace(1.0, 3.0, 9)]
+catlattice.analyze_rows(rows, sys.argv[1] + "/analysis")
+loaded["run"] = sorted(m for m in sys.modules if m.startswith("scipy."))
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_sweep_load_only_linalg_and_sparse(tmp_path):
+    # a sweep, its corner blocks and the scaling analysis need
+    # scipy.linalg and scipy.sparse alone; the eigen oracle and map-spin
+    # import the rest where they are called
+    src = os.path.dirname(os.path.dirname(catlattice.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    for stage in ("import", "run"):
+        for name in ("scipy.optimize", "scipy.interpolate",
+                     "scipy.sparse.linalg", "scipy.special"):
+            assert name not in loaded[stage], (stage, name)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from catlattice.fock import FockSpace, annihilation_op, parity_op
 from catlattice.lattice import (ModelParams, build_hamiltonian,
-                                build_jump_operators, chain)
+                                build_jump_operators, chain, rectangle)
 from catlattice.liouville import (solve_steady_state, spectral_radius_bound,
                                   steady_state_direct, steady_state_eigen,
                                   steady_state_time, time_evolve,
@@ -115,6 +116,28 @@ def test_degenerate_kernel_flagged():
     res = steady_state_eigen(liou, parity=parity_op(f, 1).diagonal().real)
     assert "DEGENERATE" in res.flags
     _assert_density_matrix(res.rho)
+
+
+@pytest.mark.parametrize("geom", [chain(4), rectangle(2, 2)],
+                         ids=["ring4", "torus2x2"])
+def test_eigen_factorization_matches_colamd(geom):
+    # criterion 3's two D=81 Liouvillians: the oracle's own minimum-degree
+    # factorization of L - sigma I against eigs factoring it with its
+    # default COLAMD ordering, from the same start vector
+    params = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.8)
+    fock = FockSpace(2)
+    liou = vectorize_lindbladian(build_hamiltonian(params, geom, fock),
+                                 build_jump_operators(params, geom, fock))
+    got = steady_state_eigen(liou).rho.mat
+    n = liou.dim ** 2
+    rng = np.random.default_rng(7)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vals, vecs = spla.eigs(liou.sup, k=2, sigma=1e-6, which="LM", v0=v0,
+                           tol=1e-10)
+    ref = vecs[:, np.argmin(np.abs(vals))].reshape(liou.dim, liou.dim)
+    ref = 0.5 * (ref + ref.conj().T)
+    ref /= ref.trace().real
+    assert np.abs(got - ref).max() <= 1e-10
 
 
 def test_eigen_requires_jumps():

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.interpolate import LSQUnivariateSpline, PchipInterpolator
+from scipy.optimize import brentq
 
 from catlattice.scaling import (EXPONENTS_1D, EXPONENTS_2D, ScalingDataset,
+                                _lsq_cubic_spline, _pchip, _refine_root,
                                 collapse_quality, exponents_for_dimension,
                                 find_crossing, fit_entropy_peak, rescale)
 
@@ -183,3 +186,134 @@ def test_entropy_peak_two_sizes_flagged():
     ds = ScalingDataset(rows, dimensionality=2)
     fit = fit_entropy_peak(ds)
     assert fit.underdetermined
+
+
+# the numpy helpers against the scipy routines they stand in for
+
+PCHIP_CASES = {
+    "two_points": ([0.0, 1.5], [1.0, 3.0]),
+    "three_points": ([0.0, 1.0, 3.0], [0.0, 2.0, 1.0]),
+    "flat_run": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                 [1.0, 1.0, 1.0, 2.0, 3.0, 3.0]),
+    "slope_sign_changes": ([0.0, 0.5, 1.7, 2.0, 3.1, 4.0],
+                           [0.0, 1.0, -0.5, 2.0, 2.5, -1.0]),
+    # the three-point end estimate has the wrong sign, so it is zeroed
+    "end_sign_zeroed": ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 6.0, 7.0]),
+    # the secants change sign and the estimate exceeds 3x the end secant
+    "end_clamped_3x": ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -9.0, -8.0]),
+    "random": (np.cumsum(np.random.default_rng(4).uniform(0.1, 2.0, 12)),
+               np.random.default_rng(5).standard_normal(12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PCHIP_CASES))
+def test_pchip_matches_scipy(case):
+    x, y = (np.asarray(v, dtype=float) for v in PCHIP_CASES[case])
+    # the data points, the interior, and past both ends
+    g = np.concatenate([x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 301)])
+    ref = PchipInterpolator(x, y)(g)
+    got = _pchip(x, y)(g)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert _pchip(x, y)(float(x[1])) == pytest.approx(y[1], abs=1e-15)
+
+
+def crossing_brackets():
+    """(f, a, b, f(a), f(b)) for each sign change of a Pchip difference."""
+    rng = np.random.default_rng(8)
+    out = []
+    for _ in range(40):
+        x = np.sort(rng.uniform(0.0, 8.0, rng.integers(4, 12)))
+        fa = _pchip(x, np.cumsum(rng.uniform(-1.0, 2.0, len(x))))
+        fb = _pchip(x, np.cumsum(rng.uniform(-1.0, 2.0, len(x))))
+        grid = np.linspace(x[0], x[-1], 512)
+        diff = fa(grid) - fb(grid)
+        for k in np.nonzero(diff[:-1] * diff[1:] < 0)[0]:
+            out.append((lambda t, fa=fa, fb=fb: fa(t) - fb(t),
+                        grid[k], grid[k + 1], diff[k], diff[k + 1]))
+    return out
+
+
+def test_refine_root_matches_brentq():
+    brackets = crossing_brackets()
+    assert len(brackets) >= 40
+    ours = ref = 0
+    for f, a, b, fa, fb in brackets:
+        calls = []
+
+        def counted(t, f=f):
+            calls.append(t)
+            return f(t)
+        root = _refine_root(counted, a, b, fa, fb)
+        ours += len(calls)
+        g, info = brentq(f, a, b, full_output=True)
+        ref += info.function_calls
+        assert a <= root <= b
+        assert abs(root - g) <= 2e-12
+    # Illinois steps converge superlinearly, as brentq's do
+    assert ours <= 1.5 * ref
+
+
+def test_refine_root_stops_on_an_exact_zero():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t - 0.5
+    assert _refine_root(f, 0.0, 2.0, -0.5, 1.5) == 0.5
+    assert calls == [0.5]
+
+
+def rescaled_pool(g_c):
+    """Pooled, sorted rescaled points of the synthetic rows, as collapse
+    quality pools them."""
+    tabs = rescale(ScalingDataset(synthetic_rows(noise=0.01),
+                                  dimensionality=2), g_c)
+    x = np.concatenate([t[0] for t in tabs.values()])
+    y = np.concatenate([t[1] for t in tabs.values()])
+    order = np.argsort(x)
+    return x[order], y[order]
+
+
+def quantile_knots(x, n_knots):
+    qs = (np.arange(n_knots) + 1.0) / (n_knots + 1.0)
+    return np.unique(np.quantile(x[1:-1], qs))
+
+
+def spline_case(case):
+    x_far = np.array([0.02, 0.08, 0.36, 0.47, 0.83, 3.93, 3.95])
+    if case in ("rescaled", "rescaled_off_g_c"):
+        x, y = rescaled_pool(G_C_TRUE if case == "rescaled" else 1.4)
+        return x, y, quantile_knots(x, 8)
+    if case == "clustered_accepted":
+        x = np.concatenate([np.linspace(0.0, 1e-3, 30),
+                            np.linspace(0.5, 4.0, 8)])
+        return x, np.tanh(x), quantile_knots(x, 8)
+    if case == "empty_knot_interval":
+        # no abscissa between the knots 2 and 3: a B-spline sees none
+        x = np.concatenate([np.linspace(0.0, 1.0, 20), [3.5, 4.0]])
+        return x, np.sin(x), np.array([1.0, 2.0, 3.0])
+    if case == "shared_abscissae":
+        # every B-spline sees data, but the last three share two points
+        return x_far, np.sin(x_far), np.array([1.0, 2.0, 3.0])
+    if case == "knot_on_end":
+        return x_far, np.sin(x_far), np.array([1.0, 3.95])
+    raise KeyError(case)
+
+
+@pytest.mark.parametrize("case", ["rescaled", "rescaled_off_g_c",
+                                  "clustered_accepted", "empty_knot_interval",
+                                  "shared_abscissae", "knot_on_end"])
+def test_lsq_spline_matches_scipy(case):
+    x, y, knots = spline_case(case)
+    try:
+        ref = LSQUnivariateSpline(x, y, knots, k=3)(x)
+    except ValueError:
+        ref = None
+    assert (ref is None) == (case in ("empty_knot_interval",
+                                      "shared_abscissae", "knot_on_end"))
+    if ref is None:
+        with pytest.raises(ValueError):
+            _lsq_cubic_spline(x, y, knots)
+    else:
+        got = _lsq_cubic_spline(x, y, knots)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
