@@ -254,6 +254,10 @@ def main(argv=None):
         # unknown preset name and similar lookup misses
         print(e.args[0] if e.args else str(e), file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # a point that fails the corner's memory pre-flight
+        print(str(e), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ def spin_identity_group():
     dev = 0.0
     for x in (0.5, 1.0, 2.0):
         alpha = np.sqrt(x)
-        fock = FockSpace(required_n_max(alpha) + 6)
+        fock = FockSpace(required_n_max(alpha))
         mat = annihilation_on_cats(cat_states(alpha, fock))
         c = SpinModelCoefficients.from_alpha(alpha)
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,11 +151,13 @@ def spin_identity_group():
 def mapping_group():
     params = ModelParams.resonant(u=100.0, j_hop=50.0, g=1.0)
     checks = []
-    for x in (0.5, 1.0):
+    for x in (0.5, 1.0, 2.0):
         alpha = np.sqrt(x)
         fock = FockSpace(required_n_max(alpha) + 6)
-        dev = validate_mapping(alpha, params, chain(2), fock)
-        checks.append(_check("N=2 |alpha|^2=%g" % x, dev, MAPPING_TOL))
+        for n_sites in (1, 2, 3):
+            dev = validate_mapping(alpha, params, chain(n_sites), fock)
+            checks.append(_check("N=%d |alpha|^2=%g" % (n_sites, x), dev,
+                                 MAPPING_TOL))
     return _group("mapping", checks)
 
 

@@ -26,11 +26,10 @@ from catlattice.liouville import (solve_steady_state, steady_state_eigen,
                                  vectorize_lindbladian)
 from catlattice.observables import parity_expectation, von_neumann_entropy
 from catlattice.scaling import ScalingDataset, collapse_quality, find_crossing
-from catlattice.spinmap import (SpinModelCoefficients, annihilation_on_cats,
-                                cat_states, required_n_max, validate_mapping)
 from catlattice.store import read_rows
 from catlattice.sweep import run_sweep
-from catlattice.validate import (AGREEMENT_POINTS, solver_agreement_group,
+from catlattice.validate import (AGREEMENT_POINTS, mapping_group,
+                                 solver_agreement_group, spin_identity_group,
                                  steady_symmetry_group)
 
 LOG2 = math.log(2.0)
@@ -134,44 +133,21 @@ def test_criterion_3_corner_exactness(record_criterion):
 
 
 def test_criterion_4_spin_identities(record_criterion):
-    worst_id = 0.0
-    for x in np.linspace(0.05, 10.0, 50):
-        c = SpinModelCoefficients.from_alpha(np.sqrt(x))
-        worst_id = max(
-            worst_id,
-            abs(c.b_x * c.b_y - c.a_minus),
-            abs(c.b_x ** 2 - (c.a_plus + 2.0)),
-            abs(c.b_y ** 2 - (c.a_plus - 2.0)),
-        )
-    worst_mat = 0.0
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    for x in (0.5, 1.0, 2.0):
-        alpha = np.sqrt(x)
-        fock = FockSpace(required_n_max(alpha))
-        mat = annihilation_on_cats(cat_states(alpha, fock))
-        c = SpinModelCoefficients.from_alpha(alpha)
-        ref = 0.5 * alpha * (c.b_x * sx - 1j * c.b_y * sy)
-        worst_mat = max(worst_mat, float(np.max(np.abs(mat - ref))))
-    passed = worst_id <= 1e-11 and worst_mat <= 1e-10
-    record_criterion(4, "spin-mapping coefficient identities", passed,
-                     "identities %.1e, a-matrix %.1e" % (worst_id, worst_mat))
-    assert worst_id <= 1e-11
-    assert worst_mat <= 1e-10
+    group = spin_identity_group()
+    worst_id, worst_mat = (c["value"] for c in group["checks"])
+    record_criterion(4, "spin-mapping coefficient identities",
+                     group["passed"], "identities %.1e, a-matrix %.1e"
+                     % (worst_id, worst_mat))
+    assert group["passed"], group
 
 
 def test_criterion_5_mapping_validation(record_criterion):
-    params = ModelParams.resonant(u=100.0, j_hop=50.0, g=1.0)
-    worst = 0.0
-    for x in (0.5, 1.0, 2.0):
-        alpha = np.sqrt(x)
-        fock = FockSpace(required_n_max(alpha) + 6)
-        for n_sites in (1, 2, 3):
-            dev = validate_mapping(alpha, params, chain(n_sites), fock)
-            worst = max(worst, dev)
+    group = mapping_group()
+    worst = max(c["value"] for c in group["checks"])
     record_criterion(5, "bosonic -> XY spin mapping deviation <= 1e-8",
-                     worst <= 1e-8, "worst %.1e" % worst)
-    assert worst <= 1e-8
+                     group["passed"], "worst %.1e" % worst)
+    assert len(group["checks"]) == 9
+    assert group["passed"], group
 
 
 def _synthetic_rows(g_c=1.2, beta=0.32642, nu=0.62997):

@@ -416,6 +416,20 @@ def test_saturated_corner_converges_at_first_m():
     assert entry["drift"] is None
 
 
+def test_hopeless_corner_is_flagged_too_small():
+    # a strongly driven two-site chain at M = 1: the one merge keeps 0.468
+    # of the probability weight, less than 1 - DISCARD_BOUND; at full M it
+    # keeps all of it
+    p = ModelParams.resonant(u=5.0, j_hop=2.0, g=10.0)
+    f = FockSpace(3)
+    run = corner_steady_state(chain(2), p, f, 1, leaf_sites_max=1)
+    (step,) = run.steps
+    assert step["kept_weight"] < 1.0 - corner.DISCARD_BOUND
+    assert "CORNER_TOO_SMALL" in run.result.flags
+    full = corner_steady_state(chain(2), p, f, f.dim ** 2, leaf_sites_max=1)
+    assert "CORNER_TOO_SMALL" not in full.result.flags
+
+
 def test_convergence_sweep_rejects_unsorted():
     f = FockSpace(2)
     p = ModelParams.resonant(u=20.0, j_hop=10.0, g=1.0)

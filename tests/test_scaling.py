@@ -9,6 +9,7 @@ from catlattice.scaling import (EXPONENTS_1D, EXPONENTS_2D, ScalingDataset,
                                 _lsq_cubic_spline, _pchip, _refine_root,
                                 collapse_quality, exponents_for_dimension,
                                 find_crossing, fit_entropy_peak, rescale)
+from catlattice.store import SweepStore, read_rows
 
 G_C_TRUE = 1.2
 BETA_2D, NU_2D = EXPONENTS_2D
@@ -69,6 +70,23 @@ def test_unconverged_rows_excluded_by_default():
     assert n_points(ScalingDataset(rows, dimensionality=2)) == len(rows) - 1
     assert n_points(ScalingDataset(rows, dimensionality=2,
                                    include_unconverged=True)) == len(rows)
+
+
+def test_csv_store_leaves_out_unconverged_point(tmp_path):
+    # a CSV store reads converged back as the text "True" or "False"
+    store = SweepStore(tmp_path / "s.jsonl")
+    for g in (0.5, 1.0, 1.5):
+        store.append({"size": "2", "G_over_gamma": g, "parity": 0.5,
+                      "entropy": 0.3, "n_per_site": 0.7, "method": "direct",
+                      "M": 81, "residual": 1e-12, "converged": g != 1.0,
+                      "config_hash": "c0ffee"})
+    rows = read_rows(store.to_csv())
+    assert [r["converged"] for r in rows] == ["True", "False", "True"]
+    _, gs, _, _ = ScalingDataset(rows, dimensionality=1).curves["2"]
+    assert gs.tolist() == [0.5, 1.5]
+    _, gs, _, _ = ScalingDataset(rows, dimensionality=1,
+                                 include_unconverged=True).curves["2"]
+    assert gs.tolist() == [0.5, 1.0, 1.5]
 
 
 def test_rescale_value_and_inverse():
