@@ -61,7 +61,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import annihilation_op, embed_site_op, total_number_diagonal
+from .fock import DENSE_LEAF_DIM, site_annihilators, total_number_diagonal
 from .lattice import jump_operators, lattice_hamiltonian
 from .liouville import (SteadyStateResult, available_memory, solve_bytes,
                         steady_state_direct)
@@ -80,13 +80,6 @@ TIE_REL = 1e-10
 # A merge that drops more than DISCARD_BOUND of the probability weight
 # flags its run CORNER_TOO_SMALL.
 DISCARD_BOUND = 0.5
-
-# Up to DENSE_LEAF_DIM states a leaf's site operators are dense, built with
-# np.kron, above sparse (fock.embed_site_op); both give the same H, bit for
-# bit.  Building the site operators and H takes 0.26 vs 2.3 ms at D = 25,
-# 6.6 vs 4.4 ms at D = 125, 107 vs 4.6 ms at D = 343 (one BLAS thread,
-# 2-vCPU Xeon), as scipy costs ~50 us per product whatever its size.
-DENSE_LEAF_DIM = 100
 
 
 @dataclass
@@ -241,23 +234,16 @@ class Block:
 
 def _build_leaf(region, geom, params, fock):
     """Exact block for a leaf region, in its own tensor basis, built like
-    build_hamiltonian from the embedded site operators (see DENSE_LEAF_DIM)."""
+    build_hamiltonian from fock.site_annihilators."""
     sites = region.sites(geom)
     n = len(sites)
-    dim = fock.dim ** n
     local = {s: k for k, s in enumerate(sites)}
-    a1 = annihilation_op(fock)
-    if dim <= DENSE_LEAF_DIM:
-        a1 = a1.toarray()
-        a_ops = [np.kron(np.kron(np.eye(fock.dim ** k), a1),
-                         np.eye(fock.dim ** (n - k - 1))) for k in range(n)]
-    else:
-        a_ops = [embed_site_op(a1, k, n) for k in range(n)]
+    a_ops = site_annihilators(fock, n)
     bonds = [(local[b.i], local[b.j], b.weight) for b in geom.bonds
              if b.i in local and b.j in local]
     h = lattice_hamiltonian(params, a_ops, bonds, geom.dimensionality)
     n_diag = total_number_diagonal(fock, n)
-    return Block(sites=[s - sites[0] for s in sites], dim=dim,
+    return Block(sites=[s - sites[0] for s in sites], dim=fock.dim ** n,
                  h=h.toarray() if sp.issparse(h) else h,
                  jumps=jump_operators(params, a_ops), n_op=sp.diags(n_diag),
                  parity=(-1.0) ** n_diag, exact=True)

@@ -1,10 +1,11 @@
 """Truncated single-site Fock algebra and Kronecker embedding into lattice operators.
 
 Everything downstream (Hamiltonians, jump operators, parity) is assembled from
-the operators built here, complex scipy CSR matrices.  Tensor-index
-convention: site 0 is the slowest-varying index, i.e. the basis of an N-site
-lattice is |n_0> (x) |n_1> (x) ... (x) |n_{N-1}> with n_0 in the outermost
-Kronecker factor.
+the operators built here: complex scipy CSR matrices, except that
+site_annihilators makes a lattice of up to DENSE_LEAF_DIM states dense.
+Tensor-index convention: site 0 is the slowest-varying index, i.e. the
+basis of an N-site lattice is |n_0> (x) |n_1> (x) ... (x) |n_{N-1}> with
+n_0 in the outermost Kronecker factor.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,13 @@ import scipy.sparse as sp
 # Hard cap on the many-body dimension.  Hitting it signals an infeasible
 # lattice for the exact constructors, not a soft performance warning.
 DIM_CAP = 1 << 22
+
+# Up to DENSE_LEAF_DIM states a lattice's site operators are dense, built
+# with np.kron, above sparse (embed_site_op); both give the same H, bit for
+# bit.  Building the site operators and H takes 0.26 vs 2.3 ms at D = 25,
+# 6.6 vs 4.4 ms at D = 125, 107 vs 4.6 ms at D = 343 (one BLAS thread,
+# 2-vCPU Xeon), as scipy costs ~50 us per product whatever its size.
+DENSE_LEAF_DIM = 100
 
 
 class DimensionCapError(ValueError):
@@ -75,6 +83,18 @@ def embed_site_op(op, site, n_sites):
     if right > 1:
         op = sp.kron(op, sp.identity(right, dtype=complex, format="csr"), format="csr")
     return op
+
+
+def site_annihilators(fock, n_sites):
+    """a_j of each of n_sites sites in the tensor basis: dense np.kron arrays
+    up to DENSE_LEAF_DIM states, embed_site_op's CSR matrices above."""
+    d = fock.dim
+    a = annihilation_op(fock)
+    if d ** n_sites > DENSE_LEAF_DIM:
+        return [embed_site_op(a, k, n_sites) for k in range(n_sites)]
+    a = a.toarray()
+    return [np.kron(np.kron(np.eye(d ** k), a), np.eye(d ** (n_sites - k - 1)))
+            for k in range(n_sites)]
 
 
 def total_number_diagonal(fock, n_sites):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import annihilation_op, embed_site_op, _check_cap
+from .fock import _check_cap, site_annihilators
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,15 @@ def lattice_hamiltonian(params, a_ops, bonds, dimensionality):
 
 
 def build_hamiltonian(params, geom, fock):
-    """The lattice Hamiltonian, Hermitian, as a complex CSR matrix."""
+    """The lattice Hamiltonian, Hermitian and complex, in the form of
+    fock.site_annihilators: a dense array up to DENSE_LEAF_DIM states, CSR
+    above."""
     n = geom.n_sites
     _check_cap(fock.dim ** n)
-    a_site = [embed_site_op(annihilation_op(fock), j, n) for j in range(n)]
-    return lattice_hamiltonian(params, a_site,
-                               [(b.i, b.j, b.weight) for b in geom.bonds],
-                               geom.dimensionality).tocsr()
+    h = lattice_hamiltonian(params, site_annihilators(fock, n),
+                            [(b.i, b.j, b.weight) for b in geom.bonds],
+                            geom.dimensionality)
+    return h.tocsr() if sp.issparse(h) else h
 
 
 def jump_operators(params, a_ops):
@@ -186,7 +188,6 @@ def jump_operators(params, a_ops):
 
 
 def build_jump_operators(params, geom, fock):
-    """The model's jump operators (see jump_operators) as CSR matrices."""
-    n = geom.n_sites
-    a_site = [embed_site_op(annihilation_op(fock), j, n) for j in range(n)]
-    return jump_operators(params, a_site)
+    """The model's jump operators (see jump_operators), in the form of
+    fock.site_annihilators."""
+    return jump_operators(params, site_annihilators(fock, geom.n_sites))

@@ -8,20 +8,23 @@ The master equation d rho/dt = L[rho] reads
 steady_state_direct is the steady-state kernel of every corner block
 (catlattice.corner), the whole-lattice leaf of the exact route among them:
 GMRES on L(rho) = 0 at unit trace, iterated in the Schur basis of H_eff,
-where its Sylvester preconditioner is one elementwise product.  H_eff and
-a_j^2 keep photon-number parity and a_j flips it, so the steady state is
-block-diagonal in the two parity sectors; rho is stored and iterated as
-those two blocks, De^2 + Do^2 entries instead of D^2, and a parity that H
-or a jump breaks is a ValueError.  Jumps are applied in the form they are
+where its Sylvester preconditioner is one elementwise product.  The
+steady state is block-diagonal in sectors, sets of basis states that
+H_eff does not couple and each jump maps into at most one; rho is stored and
+iterated as those blocks, sum_s D_s^2 entries instead of D^2.  A caller
+that knows the photon-number parity (H_eff and a_j^2 keep it, a_j flips
+it) passes it, and a parity that H or a jump breaks is a ValueError;
+without one the kernel finds the sectors from the nonzero pattern of H
+and the jumps.  Jumps are applied in the form they are
 given: dense ones rotated once into the Schur basis and applied as batched
 matmuls on their sector blocks, scipy sparse ones as sparse x dense
 products in the original basis, never densified.  An iteration costs
-O((De^3 + Do^3) + nnz D) with sparse jumps, O(K (De^3 + Do^3)) with K
-dense ones, and the solve holds O(De^2 + Do^2) memory; the D^2 x D^2
+O(sum_s D_s^3 + nnz D) with sparse jumps, O(K sum_s D_s^3) with K dense
+ones, and the solve holds O(sum_s D_s^2) memory; the D^2 x D^2
 superoperator is never formed.  The GMRES is a short loop of this module
 (_gmres) with scipy.sparse.linalg.gmres's stopping rules and little of its
 per-iteration cost, which dominates on the small blocks of a corner sweep.
-Without a parity vector the kernel runs the same code on one sector of all
+With parity np.ones(D) the kernel runs the same code on one sector of all
 D states.  solve_bytes prices that layout and available_memory what the OS
 can give; the corner pass checks every block against the two before
 building it.
@@ -138,37 +141,81 @@ def _block(op, rows, cols):
     return np.asarray(op, dtype=complex).take(rows, 0).take(cols, 1)
 
 
-def _nonzero(block):
-    return block.count_nonzero() > 0 if sp.issparse(block) else block.any()
-
-
 def _dense(block):
     return block.toarray() if sp.issparse(block) else block
 
 
-def _sector_split(H, jumps, sectors):
+def _pattern(op):
+    """Rows and columns of op's nonzero entries, exactly: no tolerance."""
+    return op.nonzero() if sp.issparse(op) else np.nonzero(op)
+
+
+def _join(label, a, b):
+    """label, in which each state holds the smallest state of its set, with
+    the sets of a[i] and b[i] joined for every i."""
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        label = label.copy()
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(root := label[label], label):
+            label = root
+
+
+def _find_sectors(m, patterns):
+    """Sector index of each of m states from the nonzero patterns of H and
+    then of each jump: the connected components of H, joined until each jump
+    maps each sector into at most one sector and no two sectors into one
+    (else g^dag g would couple the two inside H_eff).  Sectors are numbered
+    by their smallest state."""
+    (r, c), *jumps = patterns
+    label = _join(np.arange(m), r, c)
+    while True:
+        a, b = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+        for r, c in jumps:
+            for x, y in ((label[c], label[r]), (label[r], label[c])):
+                rep = np.empty(m, dtype=int)
+                rep[x] = y        # one image of each sector, one preimage
+                a.append(y)
+                b.append(rep[x])
+        joined = _join(label, np.concatenate(a), np.concatenate(b))
+        if np.array_equal(joined, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = joined
+
+
+def _block_counts(op, onehot):
+    """Number of nonzero entries of op in each sector block, exactly (sums
+    of ones); onehot is the states x sectors indicator."""
+    return onehot.T @ ((op != 0).astype(float) @ onehot)
+
+
+def _sector_split(H, jumps, label, sectors):
     """H's diagonal sector blocks, dense; the jumps' nonzero sector blocks,
     in their own form, as (s, t, list of blocks) for each pair of sectors a
-    jump takes t to s; and the pairs (s, t) of each jump.  Raises
-    ValueError when H couples two sectors or a jump both keeps and flips
-    the sector."""
-    st = [(s, t) for s in range(len(sectors)) for t in range(len(sectors))]
-    if any(_nonzero(_block(H, sectors[s], sectors[t])) for s, t in st
-           if s != t):
+    jump takes t to s; and the pairs (s, t) of each jump.  label is the
+    sector of each state and sectors the states of each sector.  Raises
+    ValueError when H couples two sectors, or a jump maps one sector into
+    two or two into one: with parity sectors, when it both keeps and flips
+    parity."""
+    n = len(sectors)
+    onehot = np.eye(n)[label]
+    counts = _block_counts(H, onehot)
+    if counts.sum() > counts.trace():
         raise ValueError("H couples states of opposite parity")
     links = {}
     pairs = []
     for k, g in enumerate(jumps):
-        if g.shape != H.shape:
-            raise ValueError("jump dimension does not match H (%d)"
-                             % H.shape[0])
-        nz = {(s, t): x for s, t in st
-              if _nonzero(x := _block(g, sectors[s], sectors[t]))}
-        if len({s == t for s, t in nz}) > 1:
+        st = list(zip(*(x.tolist() for x in np.nonzero(
+            _block_counts(g, onehot)))))
+        if (len({s for s, _ in st}) < len(st)
+                or len({t for _, t in st}) < len(st)):
             raise ValueError("jump %d both keeps and flips parity" % k)
-        pairs.append(list(nz))
-        for key, x in nz.items():
-            links.setdefault(key, []).append(x)
+        pairs.append(st)
+        for s, t in st:
+            links.setdefault((s, t), []).append(
+                _block(g, sectors[s], sectors[t]))
     return ([_dense(_block(H, i, i)) for i in sectors],
             [(s, t, xs) for (s, t), xs in links.items()], pairs)
 
@@ -304,13 +351,20 @@ def _gmres(matvec, psolve, b, rtol, restart, maxiter):
 def steady_state_direct(H, jumps, parity=None):
     """Steady state of H and jumps by preconditioned GMRES, matrix-free.
 
-    H and the jumps are scipy sparse matrices or dense arrays; parity is
-    the +-1 photon-number parity of each basis state (None: one sector of
-    every state).  H_eff and a_j^2 keep the parity of a state and a_j flips
-    it, so the steady state is block-diagonal in the parity sectors, and rho
-    is stored and iterated as its sector blocks: GMRES vectors hold De^2 +
-    Do^2 entries, not D^2.  A parity vector that H couples across, or a jump
-    that both keeps and flips, raises ValueError before any iteration.
+    H and the jumps are scipy sparse matrices or dense arrays.  The steady
+    state is block-diagonal in sectors, sets of basis states that H_eff
+    does not couple and between which each jump maps a sector into at most
+    one sector, so rho is stored and iterated as its sector blocks: GMRES
+    vectors hold sum_s D_s^2 entries, not D^2.  parity, the +-1
+    photon-number parity of each basis state, gives the two parity
+    sectors: H_eff and a_j^2 keep it and a_j flips it (np.ones(D): one
+    sector of every state).  A parity vector that H couples across, or a
+    jump that both keeps and flips, raises ValueError before any iteration.
+    Without parity the sectors are found from the exact nonzero pattern of
+    H and the jumps (_find_sectors): the parity, photon-number or
+    site-parity sectors, whichever the model keeps, numbered by their
+    smallest state.  diagnostics["sectors"] lists the sizes of the sectors
+    solved in.
 
     Solves L(rho) + w tr(rho) I = w I with L(rho) as in the module
     docstring, in the Schur basis of each sector's H_eff = U T U^dag: the
@@ -353,14 +407,23 @@ def steady_state_direct(H, jumps, parity=None):
     if m == 1:
         return SteadyStateResult(
             rho=DensityMatrix(np.ones((1, 1), dtype=complex)), residual=0.0,
-            method="direct", diagnostics={"nonnormality": 0.0})
-    sectors = ([np.arange(m)] if parity is None else
-               [np.flatnonzero(np.asarray(parity) == s) for s in (1, -1)])
-    sectors = [i for i in sectors if i.size]
-    if sum(i.size for i in sectors) != m:
-        raise ValueError("parity must be +-1 on each of the %d states" % m)
+            method="direct",
+            diagnostics={"nonnormality": 0.0, "sectors": [1]})
+    for g in jumps:
+        if g.shape != H.shape:
+            raise ValueError("jump dimension does not match H (%d)" % m)
+    if parity is None:
+        label = _find_sectors(m, [_pattern(x) for x in [H, *jumps]])
+    else:
+        parity = np.asarray(parity)
+        if parity.shape != (m,) or np.any(np.abs(parity) != 1):
+            raise ValueError("parity must be +-1 on each of the %d states"
+                             % m)
+        label = (parity < 0).astype(int)
+        label -= label.min()
+    sectors = [np.flatnonzero(label == s) for s in range(label.max() + 1)]
     dims = [i.size for i in sectors]
-    heff, links, pairs = _sector_split(H, jumps, sectors)
+    heff, links, pairs = _sector_split(H, jumps, label, sectors)
     if not links:
         raise ValueError("zero-jump Liouvillian: every function of H is "
                          "steady, no unique steady state")
@@ -460,7 +523,7 @@ def steady_state_direct(H, jumps, parity=None):
     return SteadyStateResult(
         rho=DensityMatrix(rho), residual=residual, method="direct",
         iterations=iterations, wall_time=time.time() - t0, flags=flags,
-        diagnostics={"nonnormality": nonnormality})
+        diagnostics={"nonnormality": nonnormality, "sectors": dims})
 
 
 def steady_state_eigen(liou, parity=None):
@@ -571,6 +634,8 @@ def steady_state_time(liou):
 
 
 def solve_steady_state(H, jumps):
-    """Steady state of H and jumps by the kernel steady_state_direct on one
-    sector of every state; the oracles are called by name."""
+    """Steady state of H and jumps by the kernel steady_state_direct in the
+    sectors it finds itself: the name of the kernel for callers that know
+    no parity (perfbench, spinmap.estimate_alpha); the oracles are called
+    by name."""
     return steady_state_direct(H, jumps)

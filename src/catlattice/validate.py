@@ -13,9 +13,8 @@ from .corner import convergence_sweep
 from .fock import FockSpace, parity_op
 from .lattice import (ModelParams, build_hamiltonian, build_jump_operators,
                       chain, geometry_from_size)
-from .liouville import (solve_steady_state, steady_state_direct,
-                        steady_state_eigen, steady_state_time,
-                        vectorize_lindbladian)
+from .liouville import (steady_state_direct, steady_state_eigen,
+                        steady_state_time, vectorize_lindbladian)
 from .observables import (parity_expectation, trace_distance,
                           von_neumann_entropy)
 from .spinmap import (SpinModelCoefficients, annihilation_on_cats,
@@ -174,7 +173,9 @@ def steady_symmetry_group():
         fock = FockSpace(n_max)
         h = build_hamiltonian(params, geom, fock)
         jumps = build_jump_operators(params, geom, fock)
-        res = solve_steady_state(h, jumps)
+        # one sector of every state: in the sectors the kernel finds, rho
+        # commutes with Pi by construction and the check would test nothing
+        res = steady_state_direct(h, jumps, parity=np.ones(h.shape[0]))
         pi = parity_op(fock, geom.n_sites).toarray()
         comm = pi @ res.rho.mat - res.rho.mat @ pi
         checks.append(_check("%s [rho,Pi]" % tag,

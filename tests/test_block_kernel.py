@@ -128,16 +128,19 @@ def test_parity_sectors_match_kron_oracle(m, n_jumps, seed, form):
 
 @pytest.mark.parametrize("sectors", [True, False])
 def test_dense_and_sparse_jumps_give_one_state(sectors):
-    # the 3-ring at n_max 3 (D = 64): the builders' CSR operators against
-    # their dense copies, one path for both forms
+    # the 3-ring at n_max 3 (D = 64): the builders' dense operators against
+    # their CSR copies, one path for both forms, in the parity sectors and
+    # in one sector of every state
     params = ModelParams.resonant(g=2.0, **DESK)
     geom, fock = chain(3), FockSpace(3)
     h = build_hamiltonian(params, geom, fock)
     jumps = build_jump_operators(params, geom, fock)
-    parity = parity_op(fock, 3).diagonal().real if sectors else None
-    sparse = steady_state_direct(h, jumps, parity=parity)
-    dense = steady_state_direct(h.toarray(), [g.toarray() for g in jumps],
-                                parity=parity)
+    parity = (parity_op(fock, 3).diagonal().real if sectors
+              else np.ones(h.shape[0]))
+    sparse = steady_state_direct(sp.csr_matrix(h),
+                                 [sp.csr_matrix(g) for g in jumps],
+                                 parity=parity)
+    dense = steady_state_direct(h, jumps, parity=parity)
     assert not sparse.flags and not dense.flags
     assert np.abs(sparse.rho.mat - dense.rho.mat).max() <= 1e-12
     assert sparse.iterations == dense.iterations > 0
@@ -356,3 +359,99 @@ def test_residual_comes_from_the_operators_as_given(monkeypatch):
     assert bad.flags == ("HIGH_RESIDUAL",)
     assert bad.residual == pytest.approx(
         np.linalg.norm(sup @ bad.rho.mat.reshape(-1)), rel=1e-6)
+
+
+def found_and_oracles(h, jumps):
+    """The kernel in the sectors it finds, in one sector of every state,
+    and the eigen oracle on the full superoperator."""
+    found = steady_state_direct(h, jumps)
+    one = steady_state_direct(h, jumps, parity=np.ones(h.shape[0]))
+    eigen = liouville.steady_state_eigen(
+        liouville.vectorize_lindbladian(h, jumps))
+    assert not found.flags and not one.flags
+    return found, one.rho.mat, eigen.rho.mat
+
+
+def test_found_sectors_merge_two_sources_of_one_image():
+    # the first jump maps |1> and |2>, sectors of H of their own, both into
+    # |0>: g^dag g couples them inside H_eff, so they must be one sector.
+    # The kernel's own residual comes from the split blocks, so only the
+    # oracle sees a dropped coupling
+    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    ket_bra = np.eye(3, dtype=complex)
+    jumps = [np.outer(ket_bra[0], ket_bra[1] + ket_bra[2]),
+             np.outer(ket_bra[1], ket_bra[0]),
+             np.outer(ket_bra[2], ket_bra[0])]
+    found, _, eigen = found_and_oracles(h, jumps)
+    assert found.diagnostics["sectors"] == [1, 2]
+    assert np.abs(found.rho.mat - eigen).max() <= 1e-10
+
+
+@pytest.mark.parametrize("geom,n_max,params,sizes", [
+    (chain(2), 3, ModelParams.resonant(g=0.0, **DESK),
+     [1, 2, 3, 4, 3, 2, 1]),
+    (chain(3), 2, ModelParams(delta=-5.0, u=100.0, g=2.0, j_hop=0.0),
+     [8, 4, 4, 2, 4, 2, 2, 1])], ids=["2-ring-G0", "3-chain-J0"])
+def test_found_sectors_finer_than_parity(geom, n_max, params, sizes):
+    # undriven, H and the jumps keep the photon number: 7 number sectors;
+    # without hopping each site keeps its own parity: 8 site-parity sectors
+    fock = FockSpace(n_max)
+    h = build_hamiltonian(params, geom, fock)
+    jumps = build_jump_operators(params, geom, fock)
+    found, one, eigen = found_and_oracles(h, jumps)
+    assert found.diagnostics["sectors"] == sizes
+    assert np.abs(found.rho.mat - one).max() <= 1e-10
+    assert np.abs(found.rho.mat - eigen).max() <= 1e-10
+
+
+def found_labels(h, jumps):
+    return liouville._find_sectors(
+        h.shape[0], [liouville._pattern(x) for x in [h, *jumps]])
+
+
+@pytest.mark.parametrize("geom,n_max", [
+    (chain(2), 2), (chain(2), 3), (chain(2), 4), (chain(3), 2),
+    (chain(3), 3), (chain(3), 4), (chain(4), 2), (rectangle(2, 2), 2)])
+def test_found_sectors_are_parity_on_the_desk_model(geom, n_max):
+    # the two-photon drive mixes photon numbers two apart and the loss a_j
+    # links the two parities: what is left is parity, even first (the
+    # vacuum is state 0), for dense and sparse builds alike (D <= 125)
+    params = ModelParams.resonant(g=2.0, **DESK)
+    fock = FockSpace(n_max)
+    h = build_hamiltonian(params, geom, fock)
+    jumps = build_jump_operators(params, geom, fock)
+    parity = parity_op(fock, geom.n_sites).diagonal().real
+    assert np.array_equal(found_labels(h, jumps), (parity < 0).astype(int))
+
+
+@pytest.mark.parametrize("geom,sizes", [
+    (rectangle(2, 2), [1, 4, 6, 4, 1]),
+    (rectangle(2, 3), [1, 6, 15, 20, 15, 6, 1])], ids=["2x2", "2x3"])
+def test_found_sectors_at_n_max_1_are_number_sectors(geom, sizes):
+    # at n_max 1 the site drive a_j^dag2 is zero, so H keeps the photon
+    # number, and the jumps take each number sector into the next one down
+    params = ModelParams.resonant(g=2.0, **DESK)
+    fock = FockSpace(1)
+    h = build_hamiltonian(params, geom, fock)
+    jumps = build_jump_operators(params, geom, fock)
+    found = steady_state_direct(h, jumps)
+    one = steady_state_direct(h, jumps, parity=np.ones(h.shape[0]))
+    assert not found.flags and not one.flags
+    assert found.diagnostics["sectors"] == sizes
+    assert np.abs(found.rho.mat - one.rho.mat).max() <= 1e-10
+
+
+def test_diagnostics_list_the_sectors_solved_in():
+    # the 4-ring at n_max 2 (D = 81): found, the parity sectors; given,
+    # whatever was given
+    params = ModelParams.resonant(g=2.0, **DESK)
+    fock = FockSpace(2)
+    h = build_hamiltonian(params, chain(4), fock)
+    jumps = build_jump_operators(params, chain(4), fock)
+    parity = parity_op(fock, 4).diagonal().real
+    assert steady_state_direct(h, jumps).diagnostics["sectors"] == [41, 40]
+    for given, sizes in ((parity, [41, 40]), (np.ones(81), [81])):
+        out = steady_state_direct(h, jumps, parity=given)
+        assert out.diagnostics["sectors"] == sizes
+    one = steady_state_direct(np.ones((1, 1)), [np.zeros((1, 1))])
+    assert one.diagnostics["sectors"] == [1]

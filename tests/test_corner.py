@@ -212,6 +212,10 @@ def test_corner_full_m_matches_exact_2x2_torus_from_single_sites():
     assert abs(von_neumann_entropy(run.result.rho) - s) < 1e-7
 
 
+def dense(op):
+    return op.toarray() if sp.issparse(op) else op
+
+
 def solved_blocks(monkeypatch):
     """(h, parity) of every block the corner run hands to the kernel."""
     seen = []
@@ -231,7 +235,7 @@ def test_leaf_is_the_lattice_hamiltonian(monkeypatch):
     # (sqrt(gamma) a_j, then sqrt(eta) a_j^2) and the parity of parity_op,
     # and records with the number diagonal of total_number_diagonal; the
     # 3-ring at n_max 4 (D = 125) is built from sparse site operators, the
-    # other leaves from dense ones (corner.DENSE_LEAF_DIM)
+    # other leaves from dense ones (fock.DENSE_LEAF_DIM), as the builders
     p = ModelParams.resonant(u=40.0, j_hop=20.0, g=1.5)
     seen = []
     real = corner.steady_state_direct
@@ -248,13 +252,13 @@ def test_leaf_is_the_lattice_hamiltonian(monkeypatch):
         run = corner_steady_state(geom, p, f, f.dim ** n, leaf_sites_max=n)
         (h, jumps, parity), = seen
         seen.clear()
-        assert np.array_equal(h, build_hamiltonian(p, geom, f).toarray())
+        assert np.array_equal(h, dense(build_hamiltonian(p, geom, f)))
         ref = build_jump_operators(p, geom, f)
         assert len(jumps) == len(ref) == 2 * n
         for g, r in zip(jumps, ref):
-            assert sp.issparse(g) == (f.dim ** n > corner.DENSE_LEAF_DIM)
-            assert np.array_equal(g.toarray() if sp.issparse(g) else g,
-                                  r.toarray())
+            assert sp.issparse(g) == sp.issparse(r) == (
+                f.dim ** n > corner.DENSE_LEAF_DIM)
+            assert np.array_equal(dense(g), dense(r))
         assert np.array_equal(parity, parity_op(f, n).diagonal().real)
         assert np.array_equal(run.n_op.diagonal(),
                               total_number_diagonal(f, n))
@@ -321,7 +325,7 @@ def full_m_corner_with_exact_spectrum(monkeypatch, geom, p, f):
     """Corner run at full M whose final Hamiltonian has the exact spectrum."""
     seen = solved_blocks(monkeypatch)
     run = corner_steady_state(geom, p, f, f.dim ** geom.n_sites)
-    h = build_hamiltonian(p, geom, f).toarray()
+    h = dense(build_hamiltonian(p, geom, f))
     assert np.abs(np.linalg.eigvalsh(seen[-1][0])
                   - np.linalg.eigvalsh(h)).max() < 1e-10
     return run

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from catlattice.fock import FockSpace
+from catlattice.fock import DENSE_LEAF_DIM, FockSpace
 from catlattice.lattice import (ModelParams, build_hamiltonian,
                                 build_jump_operators, chain,
                                 geometry_from_size, rectangle)
@@ -118,10 +118,14 @@ def test_resonant_convention():
     (chain(3), 3, 1.5 - 0.8j)],
     ids=["ring3", "torus2x2", "torus2x3", "complex_g"])
 def test_hamiltonian_hermitian(geom, n_max, g):
-    # the builder returns complex CSR with max|H - H^dag| <= 1e-12 max|H|
+    # the builder returns a complex array up to DENSE_LEAF_DIM states (the
+    # 3-rings, D = 64) and complex CSR above (the tori, D = 256 and 729),
+    # with max|H - H^dag| <= 1e-12 max|H|
     p = ModelParams.resonant(u=40.0, j_hop=20.0, g=g)
     h = build_hamiltonian(p, geom, FockSpace(n_max))
-    assert isinstance(h, sp.csr_matrix) and h.dtype == np.complex128
+    dense = h.shape[0] <= DENSE_LEAF_DIM
+    assert isinstance(h, np.ndarray if dense else sp.csr_matrix)
+    assert h.dtype == np.complex128
     assert abs(h - h.conj().T).max() <= 1e-12 * abs(h).max()
 
 
@@ -129,7 +133,7 @@ def test_hamiltonian_single_site_values():
     # H = -delta n + (U/2) a+^2 a^2 + (G/2)(a+^2 + a^2) on the Fock basis
     f = FockSpace(3)
     p = ModelParams(delta=-2.0, u=6.0, g=1.0, j_hop=0.0)
-    h = build_hamiltonian(p, chain(1), f).toarray()
+    h = build_hamiltonian(p, chain(1), f)
     n = np.arange(4)
     assert np.allclose(np.diag(h), 2.0 * n + 3.0 * n * (n - 1))
     assert h[0, 2] == pytest.approx(0.5 * np.sqrt(2.0))
@@ -141,8 +145,8 @@ def test_hopping_prefactor_dimension_split():
     # prefactor halves the 2D hopping matrix element
     f = FockSpace(2)
     p = ModelParams(delta=-1.0, u=0.0, g=0.0, j_hop=4.0)
-    h1 = build_hamiltonian(p, chain(2), f).toarray()
-    h2 = build_hamiltonian(p, rectangle(2, 2), f).toarray()
+    h1 = build_hamiltonian(p, chain(2), f)
+    h2 = build_hamiltonian(p, rectangle(2, 2), f)
     # <10|H|01> on the ring: -(J/2)*weight(2) = -4
     i10 = 1 * f.dim + 0
     i01 = 0 * f.dim + 1
@@ -164,7 +168,6 @@ def test_jump_scaling_values():
     f = FockSpace(2)
     p = ModelParams(delta=0.0, u=0.0, g=0.0, j_hop=0.0, gamma=4.0, eta=9.0)
     jumps = build_jump_operators(p, chain(1), f)
-    a = jumps[0].toarray()
-    a2 = jumps[1].toarray()
+    a, a2 = jumps
     assert a[0, 1] == pytest.approx(2.0)               # sqrt(4) * sqrt(1)
     assert a2[0, 2] == pytest.approx(3.0 * np.sqrt(2))  # sqrt(9) * sqrt(2)
