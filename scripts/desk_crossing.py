@@ -53,8 +53,8 @@ def main():
                           cfg.label + "_analysis")
     out = analyze_rows(rows, outdir, dimensionality=1)
     cr = out["collapse_result"]
-    print("apparent crossing: G_c/gamma = %.3f +- %.3f (pairs: %s)"
-          % (cr.g_c, cr.uncertainty,
+    print("apparent crossing: G_c/gamma = %s (pairs: %s)"
+          % (cr.estimate(3),
              ", ".join("%s/%s at %.2f" % c for c in cr.crossings)))
     print("figure: %s" % out["collapse_svg"])
     print("collapse: %s" % out["collapse_json"])

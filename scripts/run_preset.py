@@ -48,7 +48,7 @@ def main():
         print("analysis failed: %s" % e, file=sys.stderr)
         return 1
     cr = out["collapse_result"]
-    print("G_c/gamma = %.4f +- %.4f" % (cr.g_c, cr.uncertainty))
+    print("G_c/gamma = %s" % cr.estimate(4))
     if "entropy_peak" in out:
         print("entropy peak exponent kappa = %.4f"
               % out["entropy_peak"].kappa)

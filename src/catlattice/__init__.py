@@ -7,6 +7,10 @@ finite-size-scaling machinery for locating the critical point.
 
 __version__ = "0.1.0"
 
+# numpy >= 2 imports numpy.ma on the first np.median (find_crossing); load it
+# here so that cost falls at import, not inside the first analysis
+import numpy.ma  # noqa: F401
+
 from .fock import (FockSpace, annihilation_op, embed_site_op, number_op,
                    parity_op)
 from .lattice import (LatticeGeometry, ModelParams, chain, rectangle,

@@ -110,8 +110,8 @@ def cmd_analyze(args):
         print("analysis failed: %s" % e, file=sys.stderr)
         return 1
     res = out["collapse_result"]
-    print("G_c/gamma = %.4f +- %.4f (residual %s, %d crossings)"
-          % (res.g_c, res.uncertainty,
+    print("G_c/gamma = %s (residual %s, %d crossings)"
+          % (res.estimate(4),
              "n/a" if res.residual is None else "%.3e" % res.residual,
              len(res.crossings)))
     if "entropy_peak" in out:

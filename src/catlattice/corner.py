@@ -22,7 +22,7 @@ Every block, leaf or merged, is solved by one steady-state kernel
 (liouville.steady_state_direct); the exact route is the run whose one leaf
 is the whole lattice (see corner_steady_state).  The kernel runs GMRES on
 L(rho) with rho kept as its two parity-sector blocks (every corner state
-has a definite parity, below), each in the Schur basis of its sector's
+has a definite parity, below), each in a Schur basis of its sector's
 H_eff, where the Sylvester part inverted on the Schur diagonal, the
 preconditioner, is one elementwise product.  A merge's jumps are dense and
 are rotated into that basis once.  An iteration costs O(K (Me^3 + Mo^3))
@@ -59,9 +59,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fock import DENSE_LEAF_DIM, site_annihilators, total_number_diagonal
+from .fock import (DENSE_LEAF_DIM, diagonal_op, issparse, site_annihilators,
+                   total_number_diagonal)
 from .lattice import jump_operators, lattice_hamiltonian
 from .liouville import (SteadyStateResult, available_memory, solve_bytes,
                         steady_state_direct)
@@ -217,8 +217,8 @@ class Block:
     every region of its shape.  jumps are sqrt(gamma) a_j for each site,
     then sqrt(eta) a_j^2 if eta > 0 (lattice.jump_operators): the kernel
     solves with this list and a seam reads its a_j from it.  h is dense; a
-    leaf's n_op is scipy sparse, and so are its jumps above DENSE_LEAF_DIM
-    states."""
+    leaf's n_op and jumps are dense up to DENSE_LEAF_DIM states and scipy
+    sparse above."""
 
     sites: list
     dim: int
@@ -244,8 +244,8 @@ def _build_leaf(region, geom, params, fock):
     h = lattice_hamiltonian(params, a_ops, bonds, geom.dimensionality)
     n_diag = total_number_diagonal(fock, n)
     return Block(sites=[s - sites[0] for s in sites], dim=fock.dim ** n,
-                 h=h.toarray() if sp.issparse(h) else h,
-                 jumps=jump_operators(params, a_ops), n_op=sp.diags(n_diag),
+                 h=h.toarray() if issparse(h) else h,
+                 jumps=jump_operators(params, a_ops), n_op=diagonal_op(n_diag),
                  parity=(-1.0) ** n_diag, exact=True)
 
 

@@ -12,9 +12,8 @@ sqrt(eta) a_j^2.  All energies and rates are expressed in units of gamma.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fock import _check_cap, site_annihilators
+from .fock import _check_cap, issparse, site_annihilators
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,8 @@ def lattice_hamiltonian(params, a_ops, bonds, dimensionality):
     hopping carries the J/2d of a lattice of the given dimensionality.
     """
     dim = a_ops[0].shape[0]
-    if sp.issparse(a_ops[0]):
+    if issparse(a_ops[0]):
+        import scipy.sparse as sp
         H = sp.csr_matrix((dim, dim), dtype=complex)
     else:
         H = np.zeros((dim, dim), dtype=complex)
@@ -175,7 +175,7 @@ def build_hamiltonian(params, geom, fock):
     h = lattice_hamiltonian(params, site_annihilators(fock, n),
                             [(b.i, b.j, b.weight) for b in geom.bonds],
                             geom.dimensionality)
-    return h.tocsr() if sp.issparse(h) else h
+    return h.tocsr() if issparse(h) else h
 
 
 def jump_operators(params, a_ops):

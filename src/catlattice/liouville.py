@@ -7,8 +7,12 @@ The master equation d rho/dt = L[rho] reads
 
 steady_state_direct is the steady-state kernel of every corner block
 (catlattice.corner), the whole-lattice leaf of the exact route among them:
-GMRES on L(rho) = 0 at unit trace, iterated in the Schur basis of H_eff,
-where its Sylvester preconditioner is one elementwise product.  The
+GMRES on L(rho) = 0 at unit trace, iterated in a Schur basis of H_eff,
+where its Sylvester preconditioner is one elementwise product.  The basis
+comes from numpy alone (_schur_basis: the QR factor of H_eff's
+eigenvectors), so the kernel loads no scipy, and neither do dense
+operators: scipy.sparse is imported only where a sparse operator is built
+or an oracle runs (catlattice.fock).  The
 steady state is block-diagonal in sectors, sets of basis states that
 H_eff does not couple and each jump maps into at most one; rho is stored and
 iterated as those blocks, sum_s D_s^2 entries instead of D^2.  A caller
@@ -48,8 +52,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
+
+from .fock import issparse
 
 # A steady state is accepted when ||L(rho)||_F <= RESIDUAL_TOL times the
 # operator scale (see steady_state_direct).
@@ -62,8 +66,8 @@ GMRES_RESTART = 40
 
 @dataclass
 class Liouvillian:
-    sup: sp.csr_matrix
-    dim: int                 # Hilbert dimension D; sup is D^2 x D^2
+    sup: object              # scipy CSR matrix, D^2 x D^2
+    dim: int                 # Hilbert dimension D
     jumps: tuple = ()
 
     @property
@@ -101,6 +105,7 @@ class SteadyStateResult:
 
 def vectorize_lindbladian(H, jumps):
     """Build the D^2 x D^2 superoperator for Hamiltonian H and jump list."""
+    import scipy.sparse as sp   # only the oracles build it
     Hm = sp.csr_matrix(H)
     D = Hm.shape[0]
     I = sp.identity(D, dtype=complex, format="csr")
@@ -136,18 +141,18 @@ def _residual(liou, rho):
 def _block(op, rows, cols):
     """The block of op from the states cols to the states rows, a copy in
     op's own form, CSR or dense."""
-    if sp.issparse(op):
-        return sp.csr_matrix(op, dtype=complex)[rows][:, cols]
+    if issparse(op):
+        return op.tocsr().astype(complex)[rows][:, cols]
     return np.asarray(op, dtype=complex).take(rows, 0).take(cols, 1)
 
 
 def _dense(block):
-    return block.toarray() if sp.issparse(block) else block
+    return block.toarray() if issparse(block) else block
 
 
 def _pattern(op):
     """Rows and columns of op's nonzero entries, exactly: no tolerance."""
-    return op.nonzero() if sp.issparse(op) else np.nonzero(op)
+    return op.nonzero() if issparse(op) else np.nonzero(op)
 
 
 def _join(label, a, b):
@@ -348,6 +353,16 @@ def _gmres(matvec, psolve, b, rtol, restart, maxiter):
     return x, iterations
 
 
+def _schur_basis(x):
+    """(T, U) with U unitary and T = U^dag x U: U is the Householder QR
+    factor of the eigenvector matrix of x from np.linalg.eig.  Its first k
+    columns span the first k eigenvectors, so where those are independent
+    T is a Schur form of x, upper triangular to rounding; U stays unitary
+    however ill-conditioned they are."""
+    u = np.linalg.qr(np.linalg.eig(x)[1])[0]
+    return u.conj().T @ x @ u, u
+
+
 def steady_state_direct(H, jumps, parity=None):
     """Steady state of H and jumps by preconditioned GMRES, matrix-free.
 
@@ -367,15 +382,21 @@ def steady_state_direct(H, jumps, parity=None):
     solved in.
 
     Solves L(rho) + w tr(rho) I = w I with L(rho) as in the module
-    docstring, in the Schur basis of each sector's H_eff = U T U^dag: the
+    docstring, in a unitary basis U of each sector, H_eff = U T U^dag
+    (_schur_basis): U is the Householder QR factor of the eigenvector
+    matrix np.linalg.eig gives for H_eff, unitary however ill-conditioned
+    those eigenvectors are, so T is a Schur form, upper triangular to
+    rounding, where they are independent, and keeps some weight below its
+    diagonal where they are nearly parallel (an exceptional point).  The
     unknown is rho~ = U^dag rho U, block by block.  There the Sylvester part
     S(rho) = -i (H_eff rho - rho H_eff^dag) reads -i (T rho~ - rho~ T^dag),
     and the preconditioner inverts it on the diagonal lam of T, as one
     elementwise product of the packed vector with i / (lam_i - lam_j^*),
     with a Sherman-Morrison term for w tr(rho) I (trace and identity are
-    unitary-invariant); GMRES handles the rest of T, whose share
-    ||strict_upper(T)||_F / ||T||_F, pooled over the sectors, is
-    diagnostics["nonnormality"].  S is damped by sigma = 1e-3 of the mean
+    unitary-invariant); GMRES applies all of T, and its off-diagonal share
+    ||T - diag T||_F / ||T||_F, pooled over the sectors, is
+    diagnostics["nonnormality"] (for a Schur form, the share of its strict
+    upper triangle).  S is damped by sigma = 1e-3 of the mean
     decay rate: a dark state of H_eff (a real eigenvalue, such as an
     undriven vacuum) makes S singular and stalls GMRES on an already
     accurate state.  Each jump keeps only its nonzero sector blocks, in the
@@ -431,22 +452,23 @@ def steady_state_direct(H, jumps, parity=None):
     for s, t, xs in links:
         for x in xs:              # block by block: both forms round alike
             heff[t] = heff[t] - 0.5j * _dense(x.conj().T @ x)
-            rates += np.linalg.norm(x.data if sp.issparse(x) else x) ** 2
+            rates += np.linalg.norm(x.data if issparse(x) else x) ** 2
     scale = 2.0 * np.sqrt(sum(np.linalg.norm(x) ** 2 for x in heff)) + rates
     w = scale / m        # the trace term's eigenvalue w D is then ~ ||L||
     sigma = 1e-3 * rates / m
     u, uh, gen, inv = [], [], [], []  # per sector; S(r~) = gen r~ + r~ gen^dag
-    upper = total = 0.0
+    off = total = 0.0
     for x in heff:
-        t, q = scipy.linalg.schur(x, output="complex")
-        upper += np.linalg.norm(np.triu(t, 1)) ** 2
+        t, q = _schur_basis(x)
+        lam = np.diag(t)
+        off += np.linalg.norm(t - np.diag(lam)) ** 2
         total += np.linalg.norm(t) ** 2
-        lam = np.diag(t) - 0.5j * sigma       # S - sigma: H_eff - i sigma / 2
+        lam = lam - 0.5j * sigma              # S - sigma: H_eff - i sigma / 2
         u.append(q)
         uh.append(q.conj().T)
         gen.append(-1j * t)
         inv.append(1j / (lam[:, None] - lam.conj()[None, :]))
-    nonnormality = float(np.sqrt(upper / total))
+    nonnormality = float(np.sqrt(off / total))
     gen_h = [x.conj().T for x in gen]
     # the K dense blocks g_k from sector t to s, rotated, are kept as the
     # ds K x dt stack G (row i K + k holds row i of g_k) and the adjoint of
@@ -456,8 +478,8 @@ def steady_state_direct(H, jumps, parity=None):
     sparse = []         # (s, t, [(x, x^*)]) in the original basis
     while links:                    # each link's blocks freed once rotated
         s, t, xs = links.pop()
-        g = [x for x in xs if not sp.issparse(x)]
-        xs = [(x, x.conj()) for x in xs if sp.issparse(x)]
+        g = [x for x in xs if not issparse(x)]
+        xs = [(x, x.conj()) for x in xs if issparse(x)]
         if g:
             g = uh[s] @ np.stack(g, axis=1).reshape(dims[s], -1)
             g = g.reshape(-1, dims[t]) @ u[t]
@@ -513,7 +535,7 @@ def steady_state_direct(H, jumps, parity=None):
         for s, t in gp:
             x = _block(g, sectors[s], sectors[t])
             xr = x @ rhos[t]
-            out[s] += ((x.conj() @ xr.T).T if sp.issparse(x)
+            out[s] += ((x.conj() @ xr.T).T if issparse(x)
                        else xr @ x.conj().T)
     residual = float(np.sqrt(sum(np.linalg.norm(y) ** 2 for y in out)))
     rho = np.zeros((m, m), dtype=complex)
@@ -556,6 +578,7 @@ def steady_state_eigen(liou, parity=None):
         x = vecs[:, order[0]]
         iters = 1
     else:
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla   # only this oracle needs it
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sigma = 1e-6

@@ -83,7 +83,7 @@ def _as_bool(v):
 @dataclass
 class CollapseResult:
     g_c: float
-    uncertainty: float
+    uncertainty: float | None  # None from one crossing: no spread to measure
     residual: float | None
     crossings: list          # (label_a, label_b, g) triples
     master_x: np.ndarray
@@ -107,6 +107,13 @@ class CollapseResult:
             "exponents": {"beta": self.beta, "nu": self.nu},
             "dimensionality": self.dimensionality,
         }
+
+    def estimate(self, digits):
+        """G_c and its uncertainty as text, each to digits decimals:
+        "5.20 +- 0.80", or "3.74 +- undefined (one crossing)"."""
+        unc = ("undefined (one crossing)" if self.uncertainty is None
+               else "%.*f" % (digits, self.uncertainty))
+        return "%.*f +- %s" % (digits, self.g_c, unc)
 
 
 def rescale(ds, g_c):
@@ -190,8 +197,9 @@ def find_crossing(ds):
     cubic (_pchip); for every size pair the difference is bracketed on a
     grid of 512 points and each bracket refined by Illinois regula falsi
     (_refine_root), at least as tightly as brentq would.  G_c is the median
-    of the pairwise
-    crossings and the uncertainty their interquartile range.  Pairs whose
+    of the pairwise crossings and the uncertainty their interquartile
+    range, None when there is one crossing (one size pair that crosses
+    once): a single value has no spread, and 0 would claim one.  Pairs whose
     curves never cross in the common G window are skipped with a warning;
     if every pair is skipped the search fails.
     """
@@ -248,8 +256,10 @@ def find_crossing(ds):
 
     values = np.array([g for _, _, g in roots])
     g_c = float(np.median(values))
-    q25, q75 = np.percentile(values, [25, 75])
-    unc = float(q75 - q25)
+    unc = None
+    if values.size > 1:
+        q25, q75 = np.percentile(values, [25, 75])
+        unc = float(q75 - q25)
 
     try:
         residual = collapse_quality(ds, g_c)

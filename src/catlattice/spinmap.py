@@ -30,16 +30,11 @@ the algebra above is implemented correctly.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (FockSpace, annihilation_op, embed_site_op, parity_op,
                    _check_cap)
 from .lattice import build_hamiltonian, build_jump_operators, chain
 from .liouville import solve_steady_state
-
-SIGMA_X = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = sp.csr_matrix([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = sp.csr_matrix([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def required_n_max(alpha):
@@ -163,14 +158,18 @@ class SpinModelCoefficients:
 
 def build_xy_hamiltonian(coeffs, geom):
     """H_XY on the lattice over N spins, Hermitian, as a complex CSR matrix."""
+    import scipy.sparse as sp
     n = geom.n_sites
     _check_cap(2 ** n)
+    sx = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = sp.csr_matrix([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    sz = sp.csr_matrix([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     H = sp.csr_matrix((2 ** n, 2 ** n), dtype=complex)
     for j in range(n):
-        H = H - coeffs.h_z * embed_site_op(SIGMA_Z, j, n)
+        H = H - coeffs.h_z * embed_site_op(sz, j, n)
     for b in geom.bonds:
-        sxsx = embed_site_op(SIGMA_X, b.i, n) @ embed_site_op(SIGMA_X, b.j, n)
-        sysy = embed_site_op(SIGMA_Y, b.i, n) @ embed_site_op(SIGMA_Y, b.j, n)
+        sxsx = embed_site_op(sx, b.i, n) @ embed_site_op(sx, b.j, n)
+        sysy = embed_site_op(sy, b.i, n) @ embed_site_op(sy, b.j, n)
         H = H - b.weight * (coeffs.c_xx * sxsx + coeffs.c_yy * sysy)
     return H.tocsr()
 

@@ -17,9 +17,10 @@ import os
 import numpy as np
 import pytest
 
+import catlattice.validate as validate
 from catlattice.config import RunConfig, load_preset, preset_names
 from catlattice.corner import convergence_sweep
-from catlattice.fock import FockSpace, parity_op
+from catlattice.fock import FockSpace, parity_op, site_annihilators
 from catlattice.lattice import (ModelParams, build_hamiltonian,
                                 build_jump_operators, chain, rectangle)
 from catlattice.liouville import (solve_steady_state, steady_state_eigen,
@@ -221,8 +222,7 @@ def test_criterion_7_desk_scale_trend(record_criterion, tmp_path):
     try:
         res = find_crossing(ds)
         in_window = 1.2 <= res.g_c <= 2.4
-        detail = ("measured G_c=%.2f +- %.2f, window [1.2, 2.4]"
-                  % (res.g_c, res.uncertainty))
+        detail = ("measured G_c=%s, window [1.2, 2.4]" % res.estimate(2))
     except RuntimeError:
         in_window = False
         detail = "no crossing on the sampled grid, window [1.2, 2.4]"
@@ -237,8 +237,9 @@ def test_criterion_8_symmetry_properties(record_criterion):
     worst_comm = max(c["value"] for c in group["checks"]
                      if "[rho,Pi]" in c["name"])
     n_states = 0
+    n_solved = sum("[rho,Pi]" in c["name"] for c in group["checks"])
     for tag, rho, pi in STEADY_STATES:
-        m, p = rho.mat, pi.toarray()
+        m, p = rho.mat, np.diag(pi.diagonal())
         comm = np.max(np.abs(m @ p - p @ m))
         worst_comm = max(worst_comm, float(comm))
         par = parity_expectation(rho, pi)
@@ -255,6 +256,22 @@ def test_criterion_8_symmetry_properties(record_criterion):
     passed = group["passed"] and worst_comm <= 1e-6
     record_criterion(8, "steady-state parity symmetry and bounds", passed,
                      "%d states + %d sweep records, worst [rho,Pi] %.1e"
-                     % (n_states + 2, len(STEADY_ROWS), worst_comm))
+                     % (n_states + n_solved, len(STEADY_ROWS), worst_comm))
     assert group["passed"]
     assert worst_comm <= 1e-6
+
+
+def test_symmetry_group_fails_on_a_linear_drive(monkeypatch):
+    # a linear drive F (a_0 + a_0^dag) on one site breaks parity: criterion
+    # 8's group must see it in the states of both solvers
+    real = validate.build_hamiltonian
+
+    def driven(params, geom, fock):
+        a = site_annihilators(fock, geom.n_sites)[0]
+        return real(params, geom, fock) + 2.0 * (a + a.conj().T)
+
+    monkeypatch.setattr(validate, "build_hamiltonian", driven)
+    group = steady_symmetry_group()
+    comm = {c["name"]: c for c in group["checks"] if "[rho,Pi]" in c["name"]}
+    assert len(comm) == 4 and not group["passed"]
+    assert not any(c["passed"] for c in comm.values()), comm

@@ -1,7 +1,6 @@
 """The matrix-free steady-state kernel against a dense np.kron oracle."""
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -242,6 +241,26 @@ def test_kernel_solves_at_an_exceptional_point(m):
         assert out.diagnostics["nonnormality"] > 0.0
 
 
+@pytest.mark.parametrize("kappa", [1.0, 4.0, 0.1])
+def test_kernel_at_a_defective_two_level_h_eff(kappa):
+    # H = c (|0><1| + h.c.) and the jump sqrt(kappa) |0><1| give
+    # H_eff = [[0, c], [c, -i kappa / 2]], whose two eigenvalues meet at
+    # c = kappa / 4: one eigenvector, and np.linalg.eig returns two columns
+    # parallel to rounding.  Their QR factor is still unitary
+    c = kappa / 4
+    h = np.array([[0.0, c], [c, 0.0]], dtype=complex)
+    jumps = [np.sqrt(kappa) * np.array([[0.0, 1.0], [0.0, 0.0]],
+                                       dtype=complex)]
+    heff = h - 0.5j * jumps[0].conj().T @ jumps[0]
+    vecs = np.linalg.eig(heff)[1]
+    assert abs(np.vdot(vecs[:, 0], vecs[:, 1])) > 1 - 1e-6
+    out = steady_state_direct(h, jumps)
+    assert not out.flags
+    ref = liouville.steady_state_eigen(
+        liouville.vectorize_lindbladian(h, jumps))
+    assert np.abs(out.rho.mat - ref.rho.mat).max() <= 1e-10
+
+
 def test_zero_jump_block_raises():
     h, _ = random_lindbladian(6, 0, 4)
     with pytest.raises(ValueError, match="zero-jump"):
@@ -347,14 +366,14 @@ def test_residual_comes_from_the_operators_as_given(monkeypatch):
         np.linalg.norm(sup @ out.rho.mat.reshape(-1)), rel=1e-6)
     # with Schur vectors off by 1e-6 the iteration solves another problem;
     # the residual, taken from h and the jumps, must say so
-    real = scipy.linalg.schur
+    real = liouville._schur_basis
     rng = np.random.default_rng(1)
 
-    def perturbed(a, output):
-        t, u = real(a, output=output)
+    def perturbed(a):
+        t, u = real(a)
         return t, u + 1e-6 * rng.normal(size=u.shape)
 
-    monkeypatch.setattr(liouville.scipy.linalg, "schur", perturbed)
+    monkeypatch.setattr(liouville, "_schur_basis", perturbed)
     bad = steady_state_direct(h, jumps, parity=parity)
     assert bad.flags == ("HIGH_RESIDUAL",)
     assert bad.residual == pytest.approx(

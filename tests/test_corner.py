@@ -296,7 +296,8 @@ def test_dense_leaf_equals_sparse_embedded_build(geom, n_max, params):
         assert np.array_equal(g.toarray() if sp.issparse(g) else g,
                               r.toarray() if sp.issparse(r) else r)
     n_diag = total_number_diagonal(f, n)
-    assert np.array_equal(blk.n_op.toarray(), np.diag(n_diag))
+    assert sp.issparse(blk.n_op) == (f.dim ** n > corner.DENSE_LEAF_DIM)
+    assert np.array_equal(dense(blk.n_op), np.diag(n_diag))
     assert np.array_equal(blk.parity, (-1.0) ** n_diag)
 
 

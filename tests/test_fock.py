@@ -45,14 +45,14 @@ def test_number_op_diagonal():
 
 def test_parity_diagonal_and_involution():
     f = FockSpace(5)
-    p = parity_op(f, 1).toarray()
+    p = parity_op(f, 1)
     assert np.allclose(np.diag(p), [1, -1, 1, -1, 1, -1])
     assert np.allclose(p @ p, np.eye(6))
 
 
 def test_parity_multisite_involution():
     f = FockSpace(2)
-    p = parity_op(f, 3).toarray()
+    p = parity_op(f, 3)
     assert np.allclose(p @ p, np.eye(27))
     n_tot = total_number_diagonal(f, 3)
     assert np.allclose(np.diag(p), (-1.0) ** n_tot)
@@ -89,8 +89,12 @@ def test_total_number_diagonal_values():
 def test_single_site_ops_are_complex_csr():
     f = FockSpace(3)
     for op in (annihilation_op(f), number_op(f), identity_op(4),
-               parity_op(f, 2), embed_site_op(annihilation_op(f), 1, 2)):
+               parity_op(f, 4), embed_site_op(annihilation_op(f), 1, 2)):
         assert isinstance(op, sp.csr_matrix) and op.dtype == np.complex128
+    # parity follows the lattice builders: dense up to DENSE_LEAF_DIM states
+    p = parity_op(f, 2)
+    assert isinstance(p, np.ndarray) and p.dtype == np.complex128
+    assert np.array_equal(p, np.diag((-1.0) ** total_number_diagonal(f, 2)))
     a, n = annihilation_op(f).toarray(), number_op(f).toarray()
     assert np.abs(a - a.conj().T).max() > 0
     assert np.array_equal(n, n.conj().T)

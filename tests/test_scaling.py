@@ -113,6 +113,20 @@ def test_find_crossing_recovers_synthetic_g_c():
     assert res.residual is not None and res.residual < 1e-4
 
 
+def test_one_crossing_has_no_uncertainty():
+    # two sizes cross once: G_c is that crossing, and with no spread to
+    # measure the uncertainty is undefined, not 0
+    rows = [r for r in synthetic_rows() if r["size"] in ("2x2", "4x4")]
+    res = find_crossing(ScalingDataset(rows, dimensionality=2))
+    assert len(res.crossings) == 1
+    assert res.g_c == pytest.approx(G_C_TRUE, abs=1e-3)
+    assert res.uncertainty is None
+    assert json.loads(json.dumps(res.to_dict()))["uncertainty"] is None
+    assert res.estimate(2) == "1.20 +- undefined (one crossing)"
+    assert find_crossing(ScalingDataset(synthetic_rows(), dimensionality=2)
+                         ).estimate(2) == "1.20 +- 0.00"
+
+
 def test_collapse_quality_discriminates_exponents():
     ds = ScalingDataset(synthetic_rows(), dimensionality=2)
     good = collapse_quality(ds, g_c=G_C_TRUE)
