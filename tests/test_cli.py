@@ -263,7 +263,10 @@ def test_map_spin_beyond_dimension_cap_exits_2(capsys):
 SOLVE_PATH = """
 import json, sys
 import numpy as np
-import catlattice, catlattice.cli
+baseline = set(sys.modules)
+import catlattice
+package = sorted(set(sys.modules) - baseline)
+import catlattice.cli
 from catlattice import fock, lattice, liouville, observables
 
 
@@ -296,21 +299,35 @@ def one_pass(outdir):
 imported = set(sys.modules)
 first = one_pass(sys.argv[1] + "/first")
 second = one_pass(sys.argv[1] + "/second")
-print(json.dumps({"scipy": sorted(m for m in second if m.startswith("scipy")),
+print(json.dumps({"package": package,
+                  "scipy": sorted(m for m in second if m.startswith("scipy")),
                   "first": sorted(first - imported),
                   "second": sorted(second - first)}))
 """
+
+# what `import catlattice` must not load: xml (an SVG escape pulled in
+# urllib.request, http.client, email and ssl), numpy.ma (np.median,
+# np.percentile and np.unique load it), and the modules that only the CLI's
+# validate and map-spin commands call
+UNLOADED = ("xml", "urllib.request", "http.client", "email", "ssl",
+            "numpy.ma", "catlattice.spinmap", "catlattice.validate",
+            "catlattice.cli")
 
 
 def test_solve_path_loads_no_scipy(tmp_path):
     # dense operators up to 100 states, the numpy Schur basis and the numpy
     # scaling helpers: an exact point, a corner sweep and the analysis load
     # no scipy module, and neither the first pass nor a second one imports
-    # a module that `import catlattice` did not, so no lazy import (such as
-    # numpy.ma's, on the first np.median) lands inside a timed pass
+    # a module that `import catlattice` and the CLI did not, so no lazy
+    # import lands inside a timed pass.  `import catlattice` is measured
+    # against `import numpy`, since a site hook may preload other modules
     src = os.path.dirname(os.path.dirname(catlattice.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", SOLVE_PATH, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout.splitlines()[-1])
+    package = loaded.pop("package")
+    assert "catlattice.sweep" in package
+    assert [m for m in package for name in UNLOADED
+            if m == name or m.startswith(name + ".")] == []
     assert loaded == {"scipy": [], "first": [], "second": []}

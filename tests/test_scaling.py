@@ -6,9 +6,10 @@ from scipy.interpolate import LSQUnivariateSpline, PchipInterpolator
 from scipy.optimize import brentq
 
 from catlattice.scaling import (EXPONENTS_1D, EXPONENTS_2D, ScalingDataset,
-                                _lsq_cubic_spline, _pchip, _refine_root,
-                                collapse_quality, exponents_for_dimension,
-                                find_crossing, fit_entropy_peak, rescale)
+                                _lsq_cubic_spline, _pchip, _quantiles,
+                                _refine_root, collapse_quality,
+                                exponents_for_dimension, find_crossing,
+                                fit_entropy_peak, rescale)
 from catlattice.store import SweepStore, read_rows
 
 G_C_TRUE = 1.2
@@ -111,6 +112,41 @@ def test_find_crossing_recovers_synthetic_g_c():
     assert res.uncertainty < 1e-3
     assert len(res.crossings) == 6          # all pairs of four sizes
     assert res.residual is not None and res.residual < 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:sizes")
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_crossing_median_and_iqr_match_numpy(seed):
+    # noisy curves cross several times per pair, an odd or even count of
+    # crossings (8 to 31 here); G_c and its spread are np.median and
+    # np.percentile's interquartile range of them, bit for bit
+    for sizes in (("2x2", "3x3", "4x4"), ("2x2", "3x3", "4x4", "5x5")):
+        rows = [r for r in synthetic_rows(noise=0.01, seed=seed)
+                if r["size"] in sizes]
+        res = find_crossing(ScalingDataset(rows, dimensionality=2))
+        g = [c[2] for c in res.crossings]
+        q25, q75 = np.percentile(g, [25, 75])
+        assert res.g_c == float(np.median(g))
+        assert res.uncertainty == float(q75 - q25)
+
+
+def test_quantiles_match_numpy_bit_for_bit():
+    # find_crossing's quartiles and collapse_quality's deduplicated knots
+    # against the numpy calls they stand in for, on 1..40 values with ties
+    rng = np.random.default_rng(5)
+    for n in range(1, 41):
+        for v in (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3),
+                  rng.integers(0, 4, size=n) * 0.3,
+                  np.round(rng.uniform(0.0, 8.0, size=n), 1)):
+            s = np.sort(v)
+            assert (_quantiles(s, (0.25, 0.75)).tobytes()
+                    == np.percentile(v, [25, 75]).tobytes())
+            for k in range(1, 9):
+                qs = (np.arange(k) + 1.0) / (k + 1.0)
+                knots = np.sort(_quantiles(s, qs))
+                knots = knots[np.r_[True, knots[1:] != knots[:-1]]]
+                assert (knots.tobytes()
+                        == np.unique(np.quantile(v, qs)).tobytes())
 
 
 def test_one_crossing_has_no_uncertainty():

@@ -1,8 +1,10 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
+import catlattice.svgplot as svgplot
 from catlattice.svgplot import SvgFigure
 
 
@@ -23,13 +25,17 @@ def test_minimal_figure_is_valid_xml(tmp_path):
     assert "<polyline" in text
 
 
-def test_label_escaping(tmp_path):
-    fig = SvgFigure(title="a < b & c", xlabel="G/é", ylabel="<y>")
+def test_label_escaping(tmp_path, monkeypatch):
+    fig = SvgFigure(title="a < b & c", xlabel="G/é & <x>", ylabel="<y>")
     fig.add_series([0, 1], [1, 2], label="size <2x2> & friends")
+    fig.add_vline(0.5, label="G_c > 0 & < 1")
     path, tree = render(fig, tmp_path)
     text = open(path).read()
     assert "a &lt; b &amp; c" in text
     assert "&lt;2x2&gt;" in text
+    # byte for byte what xml.sax.saxutils.escape rendered
+    monkeypatch.setattr(svgplot, "_escape", escape)
+    assert fig.to_svg() == text
 
 
 def test_empty_series_rejected():

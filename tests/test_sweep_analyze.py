@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -357,6 +358,11 @@ def test_analyze_rows_outputs(tmp_path):
         blob = json.load(fh)
     assert blob["g_c"] == pytest.approx(res.g_c)
     assert blob["dimensionality"] == 2
+    # the bytes that np.median, np.percentile and np.unique(np.quantile)
+    # wrote before find_crossing and collapse_quality sorted in their place
+    with open(out["collapse_json"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "d270ed716ef43291b4d96942831466a84b0376183629405c90b4521732c6d88e")
 
 
 def test_analyze_rows_complains_usefully(tmp_path):
